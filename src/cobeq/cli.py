@@ -39,6 +39,9 @@ class CliError(LangError):
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*$")
 
+#: the message for a term nested past the recursion limit
+_TOO_DEEP = "term nests too deeply"
+
 
 @dataclass
 class Directive:
@@ -143,6 +146,8 @@ def load_query_file(path: str, default_mode: Mode) -> QueryFile:
             raise CliError(f"{path}:{ln}{col}: {e.message}") from None
         except LangError as e:
             raise CliError(f"{path}:{ln}: {e}") from None
+        except RecursionError:
+            raise CliError(f"{path}:{ln}: {_TOO_DEEP}") from None
         saw_statement = True
     return QueryFile(path, mode, defs, directives)
 
@@ -220,30 +225,33 @@ def _run_directives(qf: QueryFile, fmt: str) -> tuple[str, int]:
     jresults: list[dict] = []
     saw_ne = saw_inc = False
     for d in qf.directives:
-        if d.kind == "check":
-            v = decide_equal(d.lhs, d.rhs, qf.mode, certificate=(fmt == "json"))
-            saw_ne = saw_ne or v.kind == "not-equal"
-            saw_inc = saw_inc or v.kind == "inconclusive"
-            texts.append(f"check {d.text}: {v.summary()}")
-            jresults.append({"directive": "check", "line": d.line,
-                             "text": d.text, **v.to_json()})
-        elif d.kind == "normalize":
-            tm = normalize_syntactic(d.term)
-            texts.append(f"normalize {d.text}:")
-            texts.append(_indent(term_matrix_to_text(tm)))
-            jresults.append({"directive": "normalize", "line": d.line,
-                             "text": d.text, "matrix": term_matrix_to_json(tm)})
-        elif d.kind == "interpret":
-            m = interpret_arrow(d.term, qf.mode)
-            texts.append(f"interpret {d.text}:")
-            texts.append(_indent(matrix_to_text(m)))
-            jresults.append({"directive": "interpret", "line": d.line,
-                             "text": d.text, "matrix": matrix_to_json(m)})
-        else:
-            texts.append(f"decompose {d.text}:")
-            texts.append(_indent(decomposition_to_text(d.obj)))
-            jresults.append({"directive": "decompose", "line": d.line,
-                             "text": d.text, **decomposition_to_json(d.obj)})
+        try:
+            if d.kind == "check":
+                v = decide_equal(d.lhs, d.rhs, qf.mode, certificate=(fmt == "json"))
+                saw_ne = saw_ne or v.kind == "not-equal"
+                saw_inc = saw_inc or v.kind == "inconclusive"
+                texts.append(f"check {d.text}: {v.summary()}")
+                jresults.append({"directive": "check", "line": d.line,
+                                 "text": d.text, **v.to_json()})
+            elif d.kind == "normalize":
+                tm = normalize_syntactic(d.term)
+                texts.append(f"normalize {d.text}:")
+                texts.append(_indent(term_matrix_to_text(tm)))
+                jresults.append({"directive": "normalize", "line": d.line,
+                                 "text": d.text, "matrix": term_matrix_to_json(tm)})
+            elif d.kind == "interpret":
+                m = interpret_arrow(d.term, qf.mode)
+                texts.append(f"interpret {d.text}:")
+                texts.append(_indent(matrix_to_text(m)))
+                jresults.append({"directive": "interpret", "line": d.line,
+                                 "text": d.text, "matrix": matrix_to_json(m)})
+            else:
+                texts.append(f"decompose {d.text}:")
+                texts.append(_indent(decomposition_to_text(d.obj)))
+                jresults.append({"directive": "decompose", "line": d.line,
+                                 "text": d.text, **decomposition_to_json(d.obj)})
+        except RecursionError:
+            raise CliError(f"{qf.path}:{d.line}: {_TOO_DEEP}") from None
     code = 1 if saw_ne else 2 if saw_inc else 0
     if fmt == "json":
         out = json.dumps({"file": qf.path, "mode": str(qf.mode),

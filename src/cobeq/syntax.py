@@ -44,46 +44,79 @@ class ModeViolation(LangError):
 
 
 # ---------------------------------------------------------------------------
+# Term nodes
+
+
+class _Node:
+    """Base of object and arrow nodes: slotted frozen dataclasses whose
+    structural hash is computed once and then read from a slot.
+
+    The class name is part of the hash, so nodes of different kinds with
+    equal fields (`Tensor(p,q)` and `Oplus(p,q)`) do not collide.  Writing
+    the slot is idempotent, so concurrent first calls are harmless.
+    """
+
+    __slots__ = ("_h",)
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_h", None)
+        if h is None:
+            h = hash((type(self).__name__,
+                      *[getattr(self, f) for f in self.__match_args__]))
+            object.__setattr__(self, "_h", h)
+        return h
+
+
+def _node(cls):
+    """Declare a term node: a frozen, slotted dataclass with a cached hash."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = _Node.__hash__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Object formulas
 
 
-class Obj:
+class Obj(_Node):
     """An object formula."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return render_object(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Gen(Obj):
     """A generator: any identifier that is not a reserved word."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Unit(Obj):
     """The tensor unit, written `I`."""
 
 
-@dataclass(frozen=True)
+@_node
 class Zero(Obj):
     """The zero object, written `0`."""
 
 
-@dataclass(frozen=True)
+@_node
 class Tensor(Obj):
     left: Obj
     right: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class Oplus(Obj):
     left: Obj
     right: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class Hom(Obj):
     """Internal hom `left -o right` (smcb only)."""
 
@@ -91,7 +124,7 @@ class Hom(Obj):
     right: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class Dual(Obj):
     """Dual object `inner*` (ccb/dccb only)."""
 
@@ -129,21 +162,24 @@ def check_object_mode(a: Obj, mode: Mode) -> None:
 # Arrow terms
 
 
-class Arrow:
-    """An arrow term.  Use `infer_type` for its source and target."""
+class Arrow(_Node):
+    """An arrow term.  Use `infer_type` for its source and target, which
+    is cached in the `_ty` slot once the term is known to be well typed."""
+
+    __slots__ = ("_ty",)
 
     def __str__(self) -> str:
         return render_arrow(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Id(Arrow):
     """id[a] : a -> a"""
 
     obj: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class Alpha(Arrow):
     """alpha[a,b,c] : a (x) (b (x) c) -> (a (x) b) (x) c"""
 
@@ -152,7 +188,7 @@ class Alpha(Arrow):
     c: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class AlphaInv(Arrow):
     """alpha'[a,b,c] : (a (x) b) (x) c -> a (x) (b (x) c)"""
 
@@ -161,21 +197,21 @@ class AlphaInv(Arrow):
     c: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class Lambda(Arrow):
     """lambda[a] : I (x) a -> a"""
 
     a: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class LambdaInv(Arrow):
     """lambda'[a] : a -> I (x) a"""
 
     a: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class Sigma(Arrow):
     """sigma[a,b] : a (x) b -> b (x) a"""
 
@@ -183,7 +219,7 @@ class Sigma(Arrow):
     b: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class Eta(Arrow):
     """eta[a,b] : b -> a -o (a (x) b)   (smcb)"""
 
@@ -191,7 +227,7 @@ class Eta(Arrow):
     b: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class Eps(Arrow):
     """eps[a,b] : a (x) (a -o b) -> b   (smcb)"""
 
@@ -199,21 +235,21 @@ class Eps(Arrow):
     b: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class EtaC(Arrow):
     """eta[a] : I -> a* (x) a   (ccb; sugar in dccb)"""
 
     a: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class EpsC(Arrow):
     """eps[a] : a (x) a* -> I   (ccb/dccb)"""
 
     a: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class Inj1(Arrow):
     """inj1[a,b] : a -> a (+) b"""
 
@@ -221,7 +257,7 @@ class Inj1(Arrow):
     b: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class Inj2(Arrow):
     """inj2[a,b] : b -> a (+) b"""
 
@@ -229,7 +265,7 @@ class Inj2(Arrow):
     b: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class Proj1(Arrow):
     """proj1[a,b] : a (+) b -> a"""
 
@@ -237,7 +273,7 @@ class Proj1(Arrow):
     b: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class Proj2(Arrow):
     """proj2[a,b] : a (+) b -> b"""
 
@@ -245,7 +281,7 @@ class Proj2(Arrow):
     b: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class ZeroMap(Arrow):
     """zero[a,b] : a -> b"""
 
@@ -253,7 +289,7 @@ class ZeroMap(Arrow):
     tgt: Obj
 
 
-@dataclass(frozen=True)
+@_node
 class Compose(Arrow):
     """`after . before`, the composite running `before` first."""
 
@@ -261,25 +297,25 @@ class Compose(Arrow):
     before: Arrow
 
 
-@dataclass(frozen=True)
+@_node
 class Plus(Arrow):
     left: Arrow
     right: Arrow
 
 
-@dataclass(frozen=True)
+@_node
 class TensorMap(Arrow):
     left: Arrow
     right: Arrow
 
 
-@dataclass(frozen=True)
+@_node
 class OplusMap(Arrow):
     left: Arrow
     right: Arrow
 
 
-@dataclass(frozen=True)
+@_node
 class Whisker(Arrow):
     """`[a -o g]` : (a -o b) -> (a -o b') for g : b -> b'   (smcb)"""
 
@@ -287,7 +323,7 @@ class Whisker(Arrow):
     body: Arrow
 
 
-@dataclass(frozen=True)
+@_node
 class HomMap(Arrow):
     """hom(f,g) : (a' -o b) -> (a -o b') for f : a -> a', g : b -> b'.
 
@@ -298,7 +334,7 @@ class HomMap(Arrow):
     cov: Arrow
 
 
-@dataclass(frozen=True)
+@_node
 class Dagger(Arrow):
     """dg(f) : b -> a for f : a -> b   (dccb)"""
 
@@ -396,14 +432,26 @@ def infer_type(t: Arrow) -> tuple[Obj, Obj]:
     Raises `TypeMismatch` naming the offending subterm path when composition
     endpoints disagree or the sides of `+` have different types.
     """
-    return _infer(t, "", {})
+    return _infer(t, None)
 
 
-def _infer(t: Arrow, path: str, memo: dict) -> tuple[Obj, Obj]:
-    got = memo.get(t)
+def _path_text(path: tuple | None) -> str:
+    """Dotted field path of a subterm, or `top`.  `_infer` passes paths down
+    as nested `(parent path, field)` pairs and renders one only for an error,
+    since the text grows with the depth of the subterm."""
+    fields = []
+    while path is not None:
+        path, field = path
+        fields.append(field)
+    return ".".join(reversed(fields)) or "top"
+
+
+def _infer(t: Arrow, path: tuple | None) -> tuple[Obj, Obj]:
+    # only well-typed subterms are cached, so a failing subterm is checked
+    # again on every call and its message does not depend on earlier calls
+    got = getattr(t, "_ty", None)
     if got is not None:
         return got
-    at = (lambda field: f"{path}.{field}" if path else field)
     match t:
         case Id(a):
             ty = (a, a)
@@ -436,45 +484,45 @@ def _infer(t: Arrow, path: str, memo: dict) -> tuple[Obj, Obj]:
         case ZeroMap(a, b):
             ty = (a, b)
         case Compose(g, f):
-            fs, ft = _infer(f, at("before"), memo)
-            gs, gt = _infer(g, at("after"), memo)
+            fs, ft = _infer(f, (path, "before"))
+            gs, gt = _infer(g, (path, "after"))
             if ft != gs:
                 raise TypeMismatch(
-                    f"cannot compose at {path or 'top'}: 'before' ends at "
+                    f"cannot compose at {_path_text(path)}: 'before' ends at "
                     f"{render_object(ft)} but 'after' starts at {render_object(gs)}"
                 )
             ty = (fs, gt)
         case Plus(l, r):
-            ls = _infer(l, at("left"), memo)
-            rs = _infer(r, at("right"), memo)
+            ls = _infer(l, (path, "left"))
+            rs = _infer(r, (path, "right"))
             if ls != rs:
                 raise TypeMismatch(
-                    f"cannot add at {path or 'top'}: left is "
+                    f"cannot add at {_path_text(path)}: left is "
                     f"{render_object(ls[0])} -> {render_object(ls[1])} but right is "
                     f"{render_object(rs[0])} -> {render_object(rs[1])}"
                 )
             ty = ls
         case TensorMap(l, r):
-            ls, lt = _infer(l, at("left"), memo)
-            rs, rt = _infer(r, at("right"), memo)
+            ls, lt = _infer(l, (path, "left"))
+            rs, rt = _infer(r, (path, "right"))
             ty = (Tensor(ls, rs), Tensor(lt, rt))
         case OplusMap(l, r):
-            ls, lt = _infer(l, at("left"), memo)
-            rs, rt = _infer(r, at("right"), memo)
+            ls, lt = _infer(l, (path, "left"))
+            rs, rt = _infer(r, (path, "right"))
             ty = (Oplus(ls, rs), Oplus(lt, rt))
         case Whisker(a, g):
-            gs, gt = _infer(g, at("body"), memo)
+            gs, gt = _infer(g, (path, "body"))
             ty = (Hom(a, gs), Hom(a, gt))
         case HomMap(f, g):
-            fs, ft = _infer(f, at("contra"), memo)
-            gs, gt = _infer(g, at("cov"), memo)
+            fs, ft = _infer(f, (path, "contra"))
+            gs, gt = _infer(g, (path, "cov"))
             ty = (Hom(ft, gs), Hom(fs, gt))
         case Dagger(f):
-            fs, ft = _infer(f, at("inner"), memo)
+            fs, ft = _infer(f, (path, "inner"))
             ty = (ft, fs)
         case _:
             raise TypeMismatch(f"unknown arrow node {t!r}")
-    memo[t] = ty
+    object.__setattr__(t, "_ty", ty)
     return ty
 
 
@@ -487,11 +535,14 @@ def expand_derived(t: Arrow, mode: Mode = Mode.SMCB) -> Arrow:
 
     `hom(f,g)` becomes the whisker/cap composite; in dccb mode the sugar
     arrows `alpha'`, `lambda'`, unary `eta` and `inj1`/`inj2` are expressed
-    through the dagger.  Fixpoint on primitive-only input.
+    through the dagger.  Fixpoint on primitive-only input, where it returns
+    `t` itself, so cached hashes and types carry over.
     """
     kids = arrow_children(t)
     if kids:
-        t = rebuild_arrow(t, tuple(expand_derived(k, mode) for k in kids))
+        new = tuple(expand_derived(k, mode) for k in kids)
+        if any(n is not k for n, k in zip(new, kids)):
+            t = rebuild_arrow(t, new)
     match t:
         case HomMap(f, g):
             a, a1 = infer_type(f)

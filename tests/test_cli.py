@@ -195,3 +195,17 @@ interpret eta[p, q (+) r]
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
     json.loads(r1.stdout)
+
+
+def test_too_deep_term_exits_3_without_traceback(tmp_path):
+    import subprocess
+    import sys
+
+    chain = " . ".join(["id[p]"] * 40000)
+    path = write(tmp_path, "deep.cob", f"check {chain} = id[p]\n")
+    # its own interpreter: should the C stack run out before the recursion
+    # limit, this test fails and the rest of the suite still runs
+    r = subprocess.run([sys.executable, "-m", "cobeq.cli", "check", path],
+                       capture_output=True, text=True)
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr == f"error: {path}:1: term nests too deeply\n"  # no traceback

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import zlib
 
 import pytest
 
@@ -10,6 +12,7 @@ from cobeq import (
     expand_derived, infer_type, parse_arrow, parse_object, render_arrow,
     render_object, render_text,
 )
+from cobeq.cli import main
 from cobeq.generate import random_arrow, random_object
 
 P, Q, R = Gen("p"), Gen("q"), Gen("r")
@@ -218,9 +221,81 @@ def test_dual_map_typing():
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_parse_render_round_trip(mode):
-    rng = random.Random(hash(mode.value) & 0xFFFF)
+    rng = random.Random(zlib.crc32(mode.value.encode()))
     for _ in range(120):
         t = random_arrow(rng, mode, depth=5, obj_depth=3)
         assert parse_arrow(render_arrow(t), mode) == t
         a = random_object(rng, mode, depth=5)
         assert parse_object(render_object(a), mode) == a
+
+
+# ---------------------------------------------------------------------------
+# node contract: structural equality, cached hash and type
+
+
+def test_separately_built_terms_are_equal_with_equal_hashes():
+    text = "sigma[p,q] . (id[p] (x) id[q]) + zero[p (x) q, q (x) p]"
+    t1, t2 = parse_arrow(text), parse_arrow(text)
+    assert t1 is not t2
+    assert t1 == t2 and hash(t1) == hash(t2)
+    built = Plus(Compose(Sigma(P, Q), TensorMap(Id(P), Id(Q))),
+                 ZeroMap(Tensor(P, Q), Tensor(Q, P)))
+    assert built == t1 and hash(built) == hash(t1)
+    assert {t1: 1}[built] == 1
+
+
+def test_same_fields_different_kinds_differ():
+    f, g = Id(P), Id(Q)
+    for x, y in [(Tensor(P, Q), Oplus(P, Q)), (Tensor(P, Q), Hom(P, Q)),
+                 (Compose(f, g), Plus(f, g)), (Plus(f, g), TensorMap(f, g)),
+                 (Inj1(P, Q), Proj1(P, Q)), (Inj1(P, Q), Sigma(P, Q))]:
+        assert x != y and hash(x) != hash(y)
+
+
+def test_fields_stay_frozen():
+    t = Compose(Id(P), Id(P))
+    hash(t)
+    infer_type(t)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.after = Id(Q)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.name = "q"
+    assert t.after == Id(P) and P.name == "p"
+
+
+def test_type_error_text_does_not_depend_on_earlier_calls():
+    expected = ("cannot compose at right.before: 'before' ends at p "
+                "but 'after' starts at p (x) q")
+
+    def bad_term():
+        good = Compose(Proj1(P, Q), Inj1(P, Q))  # p -> p
+        return good, Plus(Id(P), Compose(Id(P), Compose(Sigma(P, Q), good)))
+
+    _, fresh = bad_term()
+    with pytest.raises(TypeMismatch) as first:
+        infer_type(fresh)
+    with pytest.raises(TypeMismatch) as again:
+        infer_type(fresh)
+    good, bad = bad_term()
+    assert infer_type(Plus(good, Id(P))) == (P, P)  # types `good` in a parent
+    with pytest.raises(TypeMismatch) as typed_sub:
+        infer_type(bad)
+    assert str(first.value) == str(again.value) == str(typed_sub.value) == expected
+
+
+def test_expand_derived_keeps_primitive_terms():
+    t = parse_arrow("proj1[p,q] . inj1[p,q] + zero[p,p]")
+    assert expand_derived(t) is t
+    w = parse_arrow("[q -o sigma[p,r]] . [q -o id[p (x) r]]")
+    assert expand_derived(w) is w
+    d = parse_arrow("dg(eps[p]) . eps[p]", Mode.DCCB)
+    assert expand_derived(d, Mode.DCCB) is d
+
+
+def test_long_chain_decides_through_cli(tmp_path, capsys):
+    chain = " . ".join(["id[p]"] * 2000)
+    path = tmp_path / "chain.cob"
+    path.write_text(f"check {chain} = id[p]\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(": equal\n")
