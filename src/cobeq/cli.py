@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .biproduct import decompose
@@ -41,6 +42,16 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*$")
 
 #: the message for a term nested past the recursion limit
 _TOO_DEEP = "term nests too deeply"
+
+
+@contextmanager
+def _depth_guard(where: str | None):
+    """Report a term nested past the recursion limit as a `CliError` that
+    names `where` (`FILE:LINE`, or None for an inline expression)."""
+    try:
+        yield
+    except RecursionError:
+        raise CliError(f"{where}: {_TOO_DEEP}" if where else _TOO_DEEP) from None
 
 
 @dataclass
@@ -225,7 +236,7 @@ def _run_directives(qf: QueryFile, fmt: str) -> tuple[str, int]:
     jresults: list[dict] = []
     saw_ne = saw_inc = False
     for d in qf.directives:
-        try:
+        with _depth_guard(f"{qf.path}:{d.line}"):
             if d.kind == "check":
                 v = decide_equal(d.lhs, d.rhs, qf.mode, certificate=(fmt == "json"))
                 saw_ne = saw_ne or v.kind == "not-equal"
@@ -250,8 +261,6 @@ def _run_directives(qf: QueryFile, fmt: str) -> tuple[str, int]:
                 texts.append(_indent(decomposition_to_text(d.obj)))
                 jresults.append({"directive": "decompose", "line": d.line,
                                  "text": d.text, **decomposition_to_json(d.obj)})
-        except RecursionError:
-            raise CliError(f"{qf.path}:{d.line}: {_TOO_DEEP}") from None
     code = 1 if saw_ne else 2 if saw_inc else 0
     if fmt == "json":
         out = json.dumps({"file": qf.path, "mode": str(qf.mode),
@@ -269,25 +278,30 @@ def cmd_check(args) -> int:
 
 
 def _gather(arg: str, mode: Mode, kind: str):
-    """Directives of one kind from a file, or a single inline expression."""
+    """Directives of one kind from a file, or a single inline expression,
+    each with the `FILE:LINE` it came from (None when inline)."""
     if os.path.isfile(arg):
         qf = load_query_file(arg, mode)
-        items = [d for d in qf.directives if d.kind == kind]
+        items = [(f"{arg}:{d.line}", d) for d in qf.directives if d.kind == kind]
         if not items:
             raise CliError(f"no {kind} directives in {arg}")
         return qf.mode, items
-    if kind == "decompose":
-        return mode, [Directive(kind, 0, arg, obj=parse_object(arg, mode))]
-    return mode, [Directive(kind, 0, arg, term=parse_arrow(arg, mode))]
+    with _depth_guard(None):
+        if kind == "decompose":
+            d = Directive(kind, 0, arg, obj=parse_object(arg, mode))
+        else:
+            d = Directive(kind, 0, arg, term=parse_arrow(arg, mode))
+    return mode, [(None, d)]
 
 
 def cmd_normalize(args) -> int:
     _, items = _gather(args.input, Mode(args.mode), "normalize")
     outs = []
-    for d in items:
-        tm = normalize_syntactic(d.term)
-        outs.append(term_matrix_to_json(tm) if args.format == "json"
-                    else term_matrix_to_text(tm))
+    for where, d in items:
+        with _depth_guard(where):
+            tm = normalize_syntactic(d.term)
+            outs.append(term_matrix_to_json(tm) if args.format == "json"
+                        else term_matrix_to_text(tm))
     print(json.dumps(outs if len(outs) > 1 else outs[0], indent=2)
           if args.format == "json" else "\n\n".join(outs))
     return 0
@@ -296,22 +310,23 @@ def cmd_normalize(args) -> int:
 def cmd_interpret(args) -> int:
     mode, items = _gather(args.input, Mode(args.mode), "interpret")
     outs = []
-    for d in items:
-        m = interpret_arrow(d.term, mode)
-        if args.format == "json":
-            blob = {"matrix": matrix_to_json(m)}
-            if args.verbose:
-                src, tgt = infer_type(d.term)
-                blob["source"] = decomposition_to_json(src)
-                blob["target"] = decomposition_to_json(tgt)
-            outs.append(blob)
-        else:
-            chunks = [matrix_to_text(m)]
-            if args.verbose:
-                src, tgt = infer_type(d.term)
-                chunks.append("source " + decomposition_to_text(src))
-                chunks.append("target " + decomposition_to_text(tgt))
-            outs.append("\n".join(chunks))
+    for where, d in items:
+        with _depth_guard(where):
+            m = interpret_arrow(d.term, mode)
+            if args.format == "json":
+                blob = {"matrix": matrix_to_json(m)}
+                if args.verbose:
+                    src, tgt = infer_type(d.term)
+                    blob["source"] = decomposition_to_json(src)
+                    blob["target"] = decomposition_to_json(tgt)
+                outs.append(blob)
+            else:
+                chunks = [matrix_to_text(m)]
+                if args.verbose:
+                    src, tgt = infer_type(d.term)
+                    chunks.append("source " + decomposition_to_text(src))
+                    chunks.append("target " + decomposition_to_text(tgt))
+                outs.append("\n".join(chunks))
     print(json.dumps(outs if len(outs) > 1 else outs[0], indent=2)
           if args.format == "json" else "\n\n".join(outs))
     return 0
@@ -319,8 +334,11 @@ def cmd_interpret(args) -> int:
 
 def cmd_decompose(args) -> int:
     _, items = _gather(args.input, Mode(args.mode), "decompose")
-    outs = [decomposition_to_json(d.obj) if args.format == "json"
-            else decomposition_to_text(d.obj) for d in items]
+    outs = []
+    for where, d in items:
+        with _depth_guard(where):
+            outs.append(decomposition_to_json(d.obj) if args.format == "json"
+                        else decomposition_to_text(d.obj))
     print(json.dumps(outs if len(outs) > 1 else outs[0], indent=2)
           if args.format == "json" else "\n\n".join(outs))
     return 0
@@ -328,8 +346,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_render(args) -> int:
     mode = Mode(args.mode)
-    t = parse_arrow(args.expr, mode)
-    dot = matrix_to_dot(interpret_arrow(t, mode))
+    with _depth_guard(None):
+        dot = matrix_to_dot(interpret_arrow(parse_arrow(args.expr, mode), mode))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dot)

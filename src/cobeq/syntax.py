@@ -8,7 +8,8 @@ parsers and by `check_mode` / `check_object_mode`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator, Mapping
 
@@ -67,11 +68,35 @@ class _Node:
         return h
 
 
-def _node(cls):
-    """Declare a term node: a frozen, slotted dataclass with a cached hash."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = _Node.__hash__
-    return cls
+#: surface keyword of each generator -> {number of object arguments: class}
+_KEYWORDS: dict[str, dict[int, type]] = {}
+
+
+def _node(cls=None, *, kw: str | None = None):
+    """Declare a term node: a frozen, slotted dataclass with a cached hash.
+
+    The names of its object fields and of its arrow fields are recorded once,
+    in declaration order, in `_objs` and `_arrows`; the tree helpers, the
+    parser and the printer read them instead of naming each kind.  A
+    generator passes its keyword `kw`; its arity is its number of object
+    fields, so `eta[a]` and `eta[a,b]` are two classes under one keyword.
+    """
+
+    def declare(cls):
+        cls = dataclass(frozen=True, slots=True)(cls)
+        cls.__hash__ = _Node.__hash__
+        # annotations are strings here (`from __future__ import annotations`)
+        cls._objs = tuple(f.name for f in fields(cls) if f.type == "Obj")
+        cls._arrows = tuple(f.name for f in fields(cls) if f.type == "Arrow")
+        # `rebuild_arrow` passes the objects, then the arrows, positionally
+        if cls._arrows and cls.__match_args__ != cls._objs + cls._arrows:
+            raise TypeError(f"{cls.__name__}: object fields must come first")
+        cls._kw = kw
+        if kw is not None:
+            _KEYWORDS.setdefault(kw, {})[len(cls._objs)] = cls
+        return cls
+
+    return declare if cls is None else declare(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +157,8 @@ class Dual(Obj):
 
 
 def object_children(a: Obj) -> tuple[Obj, ...]:
-    match a:
-        case Tensor(l, r) | Oplus(l, r) | Hom(l, r):
-            return (l, r)
-        case Dual(x):
-            return (x,)
-        case _:
-            return ()
+    """Direct subformulas of `a`, in field order."""
+    return tuple([getattr(a, f) for f in a._objs])
 
 
 def subobjects(a: Obj) -> Iterator[Obj]:
@@ -172,14 +192,14 @@ class Arrow(_Node):
         return render_arrow(self)
 
 
-@_node
+@_node(kw="id")
 class Id(Arrow):
     """id[a] : a -> a"""
 
     obj: Obj
 
 
-@_node
+@_node(kw="alpha")
 class Alpha(Arrow):
     """alpha[a,b,c] : a (x) (b (x) c) -> (a (x) b) (x) c"""
 
@@ -188,7 +208,7 @@ class Alpha(Arrow):
     c: Obj
 
 
-@_node
+@_node(kw="alpha'")
 class AlphaInv(Arrow):
     """alpha'[a,b,c] : (a (x) b) (x) c -> a (x) (b (x) c)"""
 
@@ -197,21 +217,21 @@ class AlphaInv(Arrow):
     c: Obj
 
 
-@_node
+@_node(kw="lambda")
 class Lambda(Arrow):
     """lambda[a] : I (x) a -> a"""
 
     a: Obj
 
 
-@_node
+@_node(kw="lambda'")
 class LambdaInv(Arrow):
     """lambda'[a] : a -> I (x) a"""
 
     a: Obj
 
 
-@_node
+@_node(kw="sigma")
 class Sigma(Arrow):
     """sigma[a,b] : a (x) b -> b (x) a"""
 
@@ -219,7 +239,7 @@ class Sigma(Arrow):
     b: Obj
 
 
-@_node
+@_node(kw="eta")
 class Eta(Arrow):
     """eta[a,b] : b -> a -o (a (x) b)   (smcb)"""
 
@@ -227,7 +247,7 @@ class Eta(Arrow):
     b: Obj
 
 
-@_node
+@_node(kw="eps")
 class Eps(Arrow):
     """eps[a,b] : a (x) (a -o b) -> b   (smcb)"""
 
@@ -235,21 +255,21 @@ class Eps(Arrow):
     b: Obj
 
 
-@_node
+@_node(kw="eta")
 class EtaC(Arrow):
     """eta[a] : I -> a* (x) a   (ccb; sugar in dccb)"""
 
     a: Obj
 
 
-@_node
+@_node(kw="eps")
 class EpsC(Arrow):
     """eps[a] : a (x) a* -> I   (ccb/dccb)"""
 
     a: Obj
 
 
-@_node
+@_node(kw="inj1")
 class Inj1(Arrow):
     """inj1[a,b] : a -> a (+) b"""
 
@@ -257,7 +277,7 @@ class Inj1(Arrow):
     b: Obj
 
 
-@_node
+@_node(kw="inj2")
 class Inj2(Arrow):
     """inj2[a,b] : b -> a (+) b"""
 
@@ -265,7 +285,7 @@ class Inj2(Arrow):
     b: Obj
 
 
-@_node
+@_node(kw="proj1")
 class Proj1(Arrow):
     """proj1[a,b] : a (+) b -> a"""
 
@@ -273,7 +293,7 @@ class Proj1(Arrow):
     b: Obj
 
 
-@_node
+@_node(kw="proj2")
 class Proj2(Arrow):
     """proj2[a,b] : a (+) b -> b"""
 
@@ -281,7 +301,7 @@ class Proj2(Arrow):
     b: Obj
 
 
-@_node
+@_node(kw="zero")
 class ZeroMap(Arrow):
     """zero[a,b] : a -> b"""
 
@@ -342,55 +362,21 @@ class Dagger(Arrow):
 
 
 def arrow_children(t: Arrow) -> tuple[Arrow, ...]:
-    match t:
-        case Compose(g, f):
-            return (g, f)
-        case Plus(l, r) | TensorMap(l, r) | OplusMap(l, r) | HomMap(l, r):
-            return (l, r)
-        case Whisker(_, g):
-            return (g,)
-        case Dagger(f):
-            return (f,)
-        case _:
-            return ()
+    """Direct arrow subterms of `t`, in field order."""
+    return tuple([getattr(t, f) for f in t._arrows])
 
 
 def rebuild_arrow(t: Arrow, kids: tuple[Arrow, ...]) -> Arrow:
     """Copy of `t` with its direct arrow children replaced by `kids`."""
-    match t:
-        case Compose():
-            return Compose(*kids)
-        case Plus():
-            return Plus(*kids)
-        case TensorMap():
-            return TensorMap(*kids)
-        case OplusMap():
-            return OplusMap(*kids)
-        case HomMap():
-            return HomMap(*kids)
-        case Whisker(a, _):
-            return Whisker(a, kids[0])
-        case Dagger():
-            return Dagger(kids[0])
-        case _:
-            assert not kids
-            return t
+    if not t._arrows:
+        assert not kids
+        return t
+    return type(t)(*node_objects(t), *kids)
 
 
 def node_objects(t: Arrow) -> tuple[Obj, ...]:
     """Object annotations carried directly by the node."""
-    match t:
-        case Id(a) | Lambda(a) | LambdaInv(a) | EtaC(a) | EpsC(a):
-            return (a,)
-        case Alpha(a, b, c) | AlphaInv(a, b, c):
-            return (a, b, c)
-        case (Sigma(a, b) | Eta(a, b) | Eps(a, b) | Inj1(a, b) | Inj2(a, b)
-              | Proj1(a, b) | Proj2(a, b) | ZeroMap(a, b)):
-            return (a, b)
-        case Whisker(a, _):
-            return (a,)
-        case _:
-            return ()
+    return tuple([getattr(t, f) for f in t._objs])
 
 
 def subarrows(t: Arrow) -> Iterator[Arrow]:
@@ -604,15 +590,16 @@ def dual_map(f: Arrow) -> Arrow:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_RESERVED_BASE = frozenset({
-    "id", "alpha", "lambda", "sigma", "eta", "eps",
-    "inj1", "inj2", "proj1", "proj2", "zero", "hom", "dg", "I",
+_RESERVED_BASE = frozenset({kw.rstrip("'") for kw in _KEYWORDS} | {
+    "hom", "dg", "I",
     "mode", "obj", "arrow", "check", "normalize", "interpret", "decompose",
 })
 
-# multi-char operators first so they win over their prefixes
+# multi-char operators first so they win over their prefixes: `re` tries
+# the alternatives left to right
 _PUNCT = ("(x)", "(+)", "->", "-o", ".", ";", "+", "*",
           "[", "]", "(", ")", ",", "=", ":")
+_PUNCT_RE = re.compile("|".join(map(re.escape, _PUNCT)))
 
 
 @dataclass(frozen=True)
@@ -637,28 +624,26 @@ def tokenize(text: str) -> list[Token]:
             continue
         if ch == "#":
             break
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("op", p, i))
-                i += len(p)
-                break
+        op = _PUNCT_RE.match(text, i)
+        if op:
+            toks.append(Token("op", op.group(), i))
+            i = op.end()
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            while j < n and text[j] == "'":
+                j += 1
+            toks.append(Token("ident", text[i:j], i))
+            i = j
+        elif ch.isdigit():
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(Token("num", text[i:j], i))
+            i = j
         else:
-            if ch.isalpha() or ch == "_":
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                while j < n and text[j] == "'":
-                    j += 1
-                toks.append(Token("ident", text[i:j], i))
-                i = j
-            elif ch.isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(Token("num", text[i:j], i))
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i)
+            raise ParseError(f"unexpected character {ch!r}", i)
     toks.append(Token("eof", "", n))
     return toks
 
@@ -797,35 +782,11 @@ class _Parser:
             raise ParseError(f"expected an arrow, found {tok.text or 'end of input'!r}", tok.pos)
         self.advance()
         name = tok.text
+        arities = _KEYWORDS.get(name)
+        if arities is not None:
+            objs = self._bracket_objects(min(arities), max(arities), name)
+            return arities[len(objs)](*objs)
         match name:
-            case "id":
-                return Id(*self._bracket_objects(1, 1, "id"))
-            case "alpha":
-                return Alpha(*self._bracket_objects(3, 3, "alpha"))
-            case "alpha'":
-                return AlphaInv(*self._bracket_objects(3, 3, "alpha'"))
-            case "lambda":
-                return Lambda(*self._bracket_objects(1, 1, "lambda"))
-            case "lambda'":
-                return LambdaInv(*self._bracket_objects(1, 1, "lambda'"))
-            case "sigma":
-                return Sigma(*self._bracket_objects(2, 2, "sigma"))
-            case "eta":
-                objs = self._bracket_objects(1, 2, "eta")
-                return Eta(*objs) if len(objs) == 2 else EtaC(objs[0])
-            case "eps":
-                objs = self._bracket_objects(1, 2, "eps")
-                return Eps(*objs) if len(objs) == 2 else EpsC(objs[0])
-            case "inj1":
-                return Inj1(*self._bracket_objects(2, 2, "inj1"))
-            case "inj2":
-                return Inj2(*self._bracket_objects(2, 2, "inj2"))
-            case "proj1":
-                return Proj1(*self._bracket_objects(2, 2, "proj1"))
-            case "proj2":
-                return Proj2(*self._bracket_objects(2, 2, "proj2"))
-            case "zero":
-                return ZeroMap(*self._bracket_objects(2, 2, "zero"))
             case "hom":
                 self.expect_op("(")
                 f = self.arrow_expr(1)
@@ -901,36 +862,8 @@ def render_arrow(t: Arrow) -> str:
 
 def _rarr(t: Arrow, prec: int) -> str:
     match t:
-        case Id(a):
-            return f"id[{render_object(a)}]"
-        case Alpha(a, b, c):
-            return f"alpha[{render_object(a)},{render_object(b)},{render_object(c)}]"
-        case AlphaInv(a, b, c):
-            return f"alpha'[{render_object(a)},{render_object(b)},{render_object(c)}]"
-        case Lambda(a):
-            return f"lambda[{render_object(a)}]"
-        case LambdaInv(a):
-            return f"lambda'[{render_object(a)}]"
-        case Sigma(a, b):
-            return f"sigma[{render_object(a)},{render_object(b)}]"
-        case Eta(a, b):
-            return f"eta[{render_object(a)},{render_object(b)}]"
-        case Eps(a, b):
-            return f"eps[{render_object(a)},{render_object(b)}]"
-        case EtaC(a):
-            return f"eta[{render_object(a)}]"
-        case EpsC(a):
-            return f"eps[{render_object(a)}]"
-        case Inj1(a, b):
-            return f"inj1[{render_object(a)},{render_object(b)}]"
-        case Inj2(a, b):
-            return f"inj2[{render_object(a)},{render_object(b)}]"
-        case Proj1(a, b):
-            return f"proj1[{render_object(a)},{render_object(b)}]"
-        case Proj2(a, b):
-            return f"proj2[{render_object(a)},{render_object(b)}]"
-        case ZeroMap(a, b):
-            return f"zero[{render_object(a)},{render_object(b)}]"
+        case Arrow(_kw=str() as kw):
+            return f"{kw}[{','.join(map(render_object, node_objects(t)))}]"
         case Whisker(a, g):
             return f"[{_robj(a, 2)} -o {_rarr(g, 1)}]"
         case HomMap(f, g):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cobeq.cli import main
 
 
@@ -209,3 +211,24 @@ def test_too_deep_term_exits_3_without_traceback(tmp_path):
                        capture_output=True, text=True)
     assert r.returncode == 3 and r.stdout == ""
     assert r.stderr == f"error: {path}:1: term nests too deeply\n"  # no traceback
+
+
+@pytest.mark.parametrize("command,inline", [
+    ("interpret", False), ("normalize", False), ("decompose", False),
+    ("interpret", True), ("render", True), ("decompose", True),
+])
+def test_too_deep_input_exits_3_in_every_command(tmp_path, command, inline):
+    import subprocess
+    import sys
+
+    expr = (" (x) ".join(["p"] * 15000) if command == "decompose"
+            else " . ".join(["id[p]"] * 15000))
+    if inline:
+        arg, where = expr, ""
+    else:
+        arg = write(tmp_path, "deep.cob", f"{command} {expr}\n")
+        where = f"{arg}:1: "
+    r = subprocess.run([sys.executable, "-m", "cobeq.cli", command, arg],
+                       capture_output=True, text=True)
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr == f"error: {where}term nests too deeply\n"

@@ -5,15 +5,19 @@ import zlib
 import pytest
 
 from cobeq import (
-    Alpha, AlphaInv, Compose, Dagger, Dual, Eps, EpsC, Eta, EtaC, Gen, Hom,
-    HomMap, Id, Inj1, Inj2, Lambda, LambdaInv, Mode, ModeViolation, Oplus,
-    ParseError, Plus, Proj1, Proj2, Sigma, Tensor, TensorMap,
+    Alpha, AlphaInv, Arrow, Compose, Dagger, Dual, Eps, EpsC, Eta, EtaC, Gen,
+    Hom, HomMap, Id, Inj1, Inj2, Lambda, LambdaInv, Mode, ModeViolation, Obj,
+    Oplus, OplusMap, ParseError, Plus, Proj1, Proj2, Sigma, Tensor, TensorMap,
     TypeMismatch, Unit, Whisker, Zero, ZeroMap, check_mode, dual_map,
     expand_derived, infer_type, parse_arrow, parse_object, render_arrow,
     render_object, render_text,
 )
 from cobeq.cli import main
 from cobeq.generate import random_arrow, random_object
+from cobeq.syntax import (
+    arrow_children, is_reserved_word, node_objects, object_children,
+    rebuild_arrow,
+)
 
 P, Q, R = Gen("p"), Gen("q"), Gen("r")
 
@@ -299,3 +303,78 @@ def test_long_chain_decides_through_cli(tmp_path, capsys):
     assert main(["check", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.endswith(": equal\n")
+
+
+# ---------------------------------------------------------------------------
+# node table: fields and keywords declared once per kind
+
+F, G = Id(P), Sigma(Q, R)
+ONE_OF_EACH_ARROW = [
+    Id(P), Alpha(P, Q, R), AlphaInv(P, Q, R), Lambda(P), LambdaInv(P),
+    Sigma(P, Q), Eta(P, Q), Eps(P, Q), EtaC(P), EpsC(P), Inj1(P, Q),
+    Inj2(P, Q), Proj1(P, Q), Proj2(P, Q), ZeroMap(P, Q), Compose(F, G),
+    Plus(F, G), TensorMap(F, G), OplusMap(F, G), Whisker(P, G),
+    HomMap(F, G), Dagger(G),
+]
+ONE_OF_EACH_OBJECT = [
+    P, Unit(), Zero(), Tensor(P, Q), Oplus(P, Q), Hom(P, Q), Dual(P),
+]
+
+
+def _fields_of_kind(node, kind):
+    values = (getattr(node, f.name) for f in dataclasses.fields(node))
+    return tuple(v for v in values if isinstance(v, kind))
+
+
+def test_every_arrow_kind_rebuilds_from_its_children():
+    assert len({type(t) for t in ONE_OF_EACH_ARROW}) == 22
+    for t in ONE_OF_EACH_ARROW:
+        kids = arrow_children(t)
+        assert kids == _fields_of_kind(t, Arrow)
+        assert rebuild_arrow(t, kids) == t
+    assert rebuild_arrow(Compose(F, G), (G, F)) == Compose(G, F)
+    assert rebuild_arrow(Whisker(P, G), (F,)) == Whisker(P, F)
+
+
+def test_object_fields_in_declaration_order():
+    for t in ONE_OF_EACH_ARROW:
+        assert node_objects(t) == _fields_of_kind(t, Obj)
+    assert node_objects(Alpha(R, P, Q)) == (R, P, Q)
+    assert node_objects(ZeroMap(Q, P)) == (Q, P)
+    for a in ONE_OF_EACH_OBJECT:
+        assert object_children(a) == _fields_of_kind(a, Obj)
+    assert object_children(Hom(Q, P)) == (Q, P)
+
+
+@pytest.mark.parametrize("text,mode,kind", [
+    ("id[p]", Mode.SMCB, Id), ("alpha[p,q,r]", Mode.SMCB, Alpha),
+    ("alpha'[p,q,r]", Mode.SMCB, AlphaInv), ("lambda[p]", Mode.SMCB, Lambda),
+    ("lambda'[p]", Mode.SMCB, LambdaInv), ("sigma[p,q]", Mode.SMCB, Sigma),
+    ("eta[p,q]", Mode.SMCB, Eta), ("eps[p,q]", Mode.SMCB, Eps),
+    ("eta[p]", Mode.CCB, EtaC), ("eps[p]", Mode.CCB, EpsC),
+    ("inj1[p,q]", Mode.SMCB, Inj1), ("inj2[p,q]", Mode.SMCB, Inj2),
+    ("proj1[p,q]", Mode.SMCB, Proj1), ("proj2[p,q]", Mode.SMCB, Proj2),
+    ("zero[p,q]", Mode.SMCB, ZeroMap),
+])
+def test_every_keyword_arity_parses_to_its_kind(text, mode, kind):
+    t = parse_arrow(text, mode)
+    assert type(t) is kind
+    assert render_arrow(t) == text
+
+
+def test_arity_error_texts():
+    with pytest.raises(ParseError) as exc:
+        parse_arrow("eta[p,q,r]")
+    assert exc.value.message == "eta takes 1 or 2 object arguments, got 3"
+    with pytest.raises(ParseError) as exc:
+        parse_arrow("id[p,q]")
+    assert exc.value.message == "id takes 1 object arguments, got 2"
+
+
+def test_reserved_words():
+    for word in ["id", "alpha", "lambda", "sigma", "eta", "eps", "inj1",
+                 "inj2", "proj1", "proj2", "zero", "hom", "dg", "I", "mode",
+                 "obj", "arrow", "check", "normalize", "interpret",
+                 "decompose"]:
+        assert is_reserved_word(word) and is_reserved_word(word + "'")
+    assert not is_reserved_word("p") and not is_reserved_word("idx")
