@@ -87,8 +87,15 @@ def load_query_file(path: str, default_mode: Mode) -> QueryFile:
     saw_statement = False
     defs: dict = {}
     directives: list[Directive] = []
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        # the bad byte starts or continues the last line of the valid prefix
+        ln = len((data[:e.start].decode("utf-8") + "x").splitlines())
+        raise CliError(f"{path}:{ln}: not valid UTF-8 "
+                       f"(byte 0x{data[e.start]:02x})") from None
     for ln, raw in enumerate(lines, start=1):
         stmt = raw.split("#", 1)[0].strip()
         if not stmt:
@@ -232,41 +239,45 @@ def matrix_to_dot(m: CobMatrix) -> str:
 
 
 def _run_directives(qf: QueryFile, fmt: str) -> tuple[str, int]:
-    texts: list[str] = []
-    jresults: list[dict] = []
+    as_json = fmt == "json"
+    results: list = []  # text blocks, or JSON objects when `as_json`
     saw_ne = saw_inc = False
     for d in qf.directives:
+        head = {"directive": d.kind, "line": d.line, "text": d.text}
         with _depth_guard(f"{qf.path}:{d.line}"):
             if d.kind == "check":
-                v = decide_equal(d.lhs, d.rhs, qf.mode, certificate=(fmt == "json"))
+                v = decide_equal(d.lhs, d.rhs, qf.mode, certificate=as_json)
                 saw_ne = saw_ne or v.kind == "not-equal"
                 saw_inc = saw_inc or v.kind == "inconclusive"
-                texts.append(f"check {d.text}: {v.summary()}")
-                jresults.append({"directive": "check", "line": d.line,
-                                 "text": d.text, **v.to_json()})
+                if as_json:
+                    results.append({**head, **v.to_json()})
+                else:
+                    results.append(f"check {d.text}: {v.summary()}")
             elif d.kind == "normalize":
                 tm = normalize_syntactic(d.term)
-                texts.append(f"normalize {d.text}:")
-                texts.append(_indent(term_matrix_to_text(tm)))
-                jresults.append({"directive": "normalize", "line": d.line,
-                                 "text": d.text, "matrix": term_matrix_to_json(tm)})
+                if as_json:
+                    results.append({**head, "matrix": term_matrix_to_json(tm)})
+                else:
+                    results.append(f"normalize {d.text}:\n"
+                                   + _indent(term_matrix_to_text(tm)))
             elif d.kind == "interpret":
                 m = interpret_arrow(d.term, qf.mode)
-                texts.append(f"interpret {d.text}:")
-                texts.append(_indent(matrix_to_text(m)))
-                jresults.append({"directive": "interpret", "line": d.line,
-                                 "text": d.text, "matrix": matrix_to_json(m)})
+                if as_json:
+                    results.append({**head, "matrix": matrix_to_json(m)})
+                else:
+                    results.append(f"interpret {d.text}:\n"
+                                   + _indent(matrix_to_text(m)))
+            elif as_json:
+                results.append({**head, **decomposition_to_json(d.obj)})
             else:
-                texts.append(f"decompose {d.text}:")
-                texts.append(_indent(decomposition_to_text(d.obj)))
-                jresults.append({"directive": "decompose", "line": d.line,
-                                 "text": d.text, **decomposition_to_json(d.obj)})
+                results.append(f"decompose {d.text}:\n"
+                               + _indent(decomposition_to_text(d.obj)))
     code = 1 if saw_ne else 2 if saw_inc else 0
-    if fmt == "json":
+    if as_json:
         out = json.dumps({"file": qf.path, "mode": str(qf.mode),
-                          "results": jresults, "exit": code}, indent=2)
+                          "results": results, "exit": code}, indent=2)
     else:
-        out = "\n".join(texts)
+        out = "\n".join(results)
     return out, code
 
 
@@ -364,6 +375,17 @@ def cmd_selftest(args) -> int:
     return 0 if report.total_failures == 0 else 1
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    parse.__name__ = "int"  # argparse's "invalid int value" names the type
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from . import __version__
 
@@ -412,8 +434,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("selftest", help="run the axiom battery")
-    p.add_argument("--depth", type=int, default=2, help="object depth bound")
-    p.add_argument("--instances", type=int, default=25,
+    p.add_argument("--depth", type=_int_at_least(0), default=2,
+                   help="object depth bound")
+    p.add_argument("--instances", type=_int_at_least(1), default=25,
                    help="instances per axiom family")
     p.add_argument("--seed", type=int, default=0)
     common(p)

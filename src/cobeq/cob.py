@@ -405,7 +405,8 @@ def equal(x: CobMatrix, y: CobMatrix) -> bool:
 
 def cardinality(x: CobMatrix) -> tuple[tuple[int, ...], ...]:
     """Entrywise multiset sizes.  Homomorphic for all six matrix operations,
-    which makes it a cheap reject check for inequality."""
+    so `decide.card_matrix` can compute it from a term without building the
+    combinators' cobordism matrices."""
     return tuple(tuple(len(e) for e in row) for row in x.entries)
 
 

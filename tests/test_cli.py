@@ -54,6 +54,39 @@ def test_check_error_exit_code(tmp_path, capsys):
     assert "bad.cob:1" in err
 
 
+def test_check_non_utf8_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin1.cob"
+    path.write_bytes(b"check id[p] = id[p]\n# caf\xe9 \xff\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 3 and out == ""
+    assert err == f"error: {path}:2: not valid UTF-8 (byte 0xe9)\n"
+
+
+def test_text_check_builds_no_json(tmp_path, capsys, monkeypatch):
+    from cobeq.decide import Verdict
+
+    def boom(self):
+        raise AssertionError("to_json called in text mode")
+
+    monkeypatch.setattr(Verdict, "to_json", boom)
+    path = write(tmp_path, "ne.cob", "check id[p (x) p] = sigma[p,p]\n")
+    code, out, _ = run(capsys, "check", path)
+    assert code == 1
+    assert out == "check id[p (x) p] = sigma[p,p]: not-equal\n"
+
+
+@pytest.mark.parametrize("flag,value,low", [
+    ("--depth", "-1", 0), ("--instances", "-3", 1), ("--instances", "0", 1),
+])
+def test_selftest_rejects_out_of_range_counts(capsys, flag, value, low):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: cobeq selftest")
+    assert f"argument {flag}: must be at least {low}, got {value}" in err
+
+
 def test_check_reports_file_line_col(tmp_path, capsys):
     path = write(tmp_path, "bad2.cob", "obj a = p (x)\ncheck id[p] = id[p]\n")
     code, _, err = run(capsys, "check", path)

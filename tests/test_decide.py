@@ -77,9 +77,26 @@ def test_card_matrix_matches_interpretation():
                     assert got[i, j] == c
 
 
+def test_import_does_not_load_numpy():
+    # numpy is needed by card_matrix only, which imports it when called
+    import os
+    import subprocess
+    import sys
+
+    import cobeq
+
+    src = os.path.dirname(os.path.dirname(cobeq.__file__))
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cobeq; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"
+
+
 def test_card_prefilter_never_contradicts():
-    # equal images force equal cardinalities, so a card difference is a
-    # sound rejection; exercised through random pairs of the same type
+    # f and f + 0 denote the same arrow, so decide_equal never refutes
+    # them; exercised through random pairs of the same type
     rng = random.Random(4)
     for _ in range(60):
         f = random_arrow(rng, Mode.SMCB, depth=2, obj_depth=2)

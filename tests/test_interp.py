@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -97,6 +98,34 @@ def test_dccb_sugar_expansion_is_semantically_transparent():
     for _ in range(60):
         t = random_arrow(rng, Mode.CCB, depth=3, obj_depth=2)
         assert interpret_arrow(t) == interpret_arrow(expand_derived(t, Mode.DCCB))
+
+
+#: largest matrix, in cells, that the expansion property test evaluates
+EXPANDED_CELL_CAP = 4096
+
+
+def _max_cells(t):
+    return max(len(interpret_object(a)) * len(interpret_object(b))
+               for a, b in map(infer_type, subarrows(t)))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_expand_derived_is_semantically_transparent(mode):
+    # decide_equal and axiom_suite evaluate terms as written, so this is
+    # where the expansion of hom(f,g) and of the dccb sugar is checked
+    rng = random.Random(zlib.crc32(mode.value.encode()))
+    checked = changed = 0
+    for _ in range(300):
+        t = random_arrow(rng, mode, depth=3, obj_depth=2)
+        e = expand_derived(t, mode)
+        if _max_cells(e) > EXPANDED_CELL_CAP:
+            continue
+        assert interpret_arrow(t) == interpret_arrow(e)
+        checked += 1
+        changed += e is not t
+    assert checked >= 250
+    # ccb has no derived kinds, so there the expansion is the identity
+    assert (changed > 0) == (mode is not Mode.CCB)
 
 
 def test_dual_map_agrees_with_entrywise_dual():
