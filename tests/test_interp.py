@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import zlib
 
@@ -7,8 +9,8 @@ from cobeq import (
     Compose, Dual, EpsC, EtaC, Gen, Hom, Id, Inj1, Mode, ModeViolation,
     Oplus, Plus, Proj2, Sigma, Tensor, TensorMap, Unit, Whisker, Zero,
     ZeroMap, decompose, dual_map, entry_oracle, expand_derived, infer_type,
-    interpret_arrow, interpret_object, normalize_syntactic,
-    term_matrix_to_json, term_matrix_to_text,
+    interpret_arrow, interpret_object, matrix_to_json, matrix_to_text,
+    normalize_syntactic, term_matrix_to_json, term_matrix_to_text,
 )
 from cobeq.cob import (
     cobordism, empty_multicob, identity_cob, mc_add, mc_dual, multicob,
@@ -126,6 +128,43 @@ def test_expand_derived_is_semantically_transparent(mode):
     assert checked >= 250
     # ccb has no derived kinds, so there the expansion is the identity
     assert (changed > 0) == (mode is not Mode.CCB)
+
+
+#: sha256 of the serialized images of the seeded terms in `test_output_bytes`
+OUTPUT_DIGESTS = {
+    Mode.SMCB: "4b4b64b784f2f36a656a2a47dda57ad9437ea0692f2839c2beb358ed80c99c3b",
+    Mode.CCB: "fd62b096e7365e9c5e4d5bf84885471207d11fa22b1846d76c2c3ac5fb9a05d7",
+    Mode.DCCB: "d005297bb9fcd110bcb250f07e8a96b61e730cd511a1a656c90a1b7da022c4bb",
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_output_bytes(mode):
+    """The text and JSON serializations of `interpret_arrow` (and, in smcb,
+    of `normalize_syntactic`) on 200 seeded random terms, pinned by one
+    sha256 per mode.
+
+    This gate is for refactors of the evaluator and the normalizer, which
+    must not change a byte of output.  Re-record the digests only in a
+    change that means to change output, and say so in CHANGES.md.
+    """
+    rng = random.Random(zlib.crc32(b"output-bytes " + mode.value.encode()))
+    digest = hashlib.sha256()
+    checked = 0
+    for _ in range(200):
+        t = random_arrow(rng, mode, depth=3, obj_depth=2)
+        if _max_cells(expand_derived(t, mode)) > EXPANDED_CELL_CAP:
+            continue
+        m = interpret_arrow(t)
+        blobs = [matrix_to_text(m), json.dumps(matrix_to_json(m))]
+        if mode is Mode.SMCB:
+            tm = normalize_syntactic(t)
+            blobs += [term_matrix_to_text(tm), json.dumps(term_matrix_to_json(tm))]
+        for b in blobs:
+            digest.update(b.encode())
+        checked += 1
+    assert checked >= 190
+    assert digest.hexdigest() == OUTPUT_DIGESTS[mode]
 
 
 def test_dual_map_agrees_with_entrywise_dual():
