@@ -9,7 +9,7 @@ from .biproduct import (
 )
 from .cob import (
     Boundary, CobMatrix, Cobordism, MultiCob, cardinality, cobordism,
-    dagger_cob, dual_cob, empty_multicob, equal, flip, glue, identity_cob,
+    dagger_cob, dual_cob, empty_multicob, flip, glue, identity_cob,
     identity_matrix, mat_add, mat_compose, mat_dagger, mat_dsum, mat_hom,
     mat_tensor, matrix_to_json, matrix_to_text, multicob, singleton,
     tensor_cob, zero_matrix,

@@ -246,7 +246,7 @@ def _run_directives(qf: QueryFile, fmt: str) -> tuple[str, int]:
         head = {"directive": d.kind, "line": d.line, "text": d.text}
         with _depth_guard(f"{qf.path}:{d.line}"):
             if d.kind == "check":
-                v = decide_equal(d.lhs, d.rhs, qf.mode, certificate=as_json)
+                v = decide_equal(d.lhs, d.rhs, certificate=as_json)
                 saw_ne = saw_ne or v.kind == "not-equal"
                 saw_inc = saw_inc or v.kind == "inconclusive"
                 if as_json:

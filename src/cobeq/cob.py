@@ -4,7 +4,9 @@ A boundary is a string over '+'/'-'.  A cobordism between two boundaries is a
 perfect matching on the combined endpoints plus a count of closed components;
 gluing composes matchings by path following.  Multisets of cobordisms form the
 hom-sets of the enriched model, and typed matrices of such multisets form the
-biproduct completion in which every diagram equality is decided.
+biproduct completion in which every diagram equality is decided.  The grid
+routines behind the matrix operations take the entry operations as
+arguments, so the term matrices of `interp.normalize_syntactic` use them too.
 
 All values are immutable with a canonical internal order, so `==` is the
 semantic equality and every operation is safe under concurrency.
@@ -292,115 +294,121 @@ def matrix(row_types, col_types, entries) -> CobMatrix:
                      tuple(tuple(row) for row in entries))
 
 
+# ---------------------------------------------------------------------------
+# Grid routines, shared with the term matrices of `interp.normalize_syntactic`.
+# A matrix is any value with a dense `entries` grid and a `shape`, whose zero
+# entries are the falsy ones; each routine visits only the nonzero cells and
+# returns the nonzero cells of its result as a dict (i, j) -> entry.
+
+
+def nonzero_cells(m) -> list[tuple[int, int, object]]:
+    return [(i, j, e) for i, row in enumerate(m.entries)
+            for j, e in enumerate(row) if e]
+
+
+def sparse_matrix(row_types, col_types, cells: dict, make=CobMatrix,
+                  zero=empty_multicob):
+    """make(rows, cols, grid) for the dense grid holding `cells` and
+    zero(col type, row type) in every other cell."""
+    rows, cols = tuple(row_types), tuple(col_types)
+    grid = [[zero(c, r) for c in cols] for r in rows]
+    for (i, j), e in cells.items():
+        grid[i][j] = e
+    return make(rows, cols, tuple(map(tuple, grid)))
+
+
+def _accumulate(acc: dict, key, e, add) -> None:
+    acc[key] = add(acc[key], e) if key in acc else e
+
+
+def grid_product(g, f, mul, add) -> dict:
+    """Matrix product g . f: cell (i, j) sums mul(g[i][k], f[k][j]) over k."""
+    f_rows = [[] for _ in f.entries]
+    for k, j, fe in nonzero_cells(f):
+        f_rows[k].append((j, fe))
+    acc: dict = {}
+    for i, k, ge in nonzero_cells(g):
+        for j, fe in f_rows[k]:
+            _accumulate(acc, (i, j), mul(ge, fe), add)
+    return acc
+
+
+def grid_sum(x, y, add) -> dict:
+    acc = {(i, j): e for i, j, e in nonzero_cells(x)}
+    for i, j, e in nonzero_cells(y):
+        _accumulate(acc, (i, j), e, add)
+    return acc
+
+
+def grid_kron(x_cells, y, op) -> dict:
+    """Kronecker product: nonzero cell (i1, j1, a) of the left factor and
+    (i2, j2, b) of y give op(a, b) at (i1 * m + i2, j1 * n + j2), where y is
+    m x n.  Tensor, hom and whisker all take this form."""
+    m, n = y.shape
+    y_cells = nonzero_cells(y)
+    return {(i1 * m + i2, j1 * n + j2): op(a, b)
+            for i1, j1, a in x_cells for i2, j2, b in y_cells}
+
+
+def grid_dsum(x, y) -> dict:
+    """Block diagonal: x top left, y bottom right."""
+    m, n = x.shape
+    cells = {(i, j): e for i, j, e in nonzero_cells(x)}
+    cells.update(((m + i, n + j), e) for i, j, e in nonzero_cells(y))
+    return cells
+
+
+# ---------------------------------------------------------------------------
+# Matrix operations
+
+
 def zero_matrix(row_types, col_types) -> CobMatrix:
-    return matrix(row_types, col_types,
-                  ((empty_multicob(c, r) for c in col_types) for r in row_types))
+    return sparse_matrix(row_types, col_types, {})
 
 
 def identity_matrix(types) -> CobMatrix:
     types = tuple(types)
-    return matrix(types, types,
-                  ((singleton(identity_cob(r)) if i == j else empty_multicob(c, r)
-                    for j, c in enumerate(types))
-                   for i, r in enumerate(types)))
+    return sparse_matrix(types, types, {(i, i): singleton(identity_cob(t))
+                                        for i, t in enumerate(types)})
 
 
 def mat_compose(g: CobMatrix, f: CobMatrix) -> CobMatrix:
     if g.col_types != f.row_types:
         raise ValueError(f"cannot compose {g.shape} after {f.shape}: "
                          f"middle types {g.col_types!r} vs {f.row_types!r}")
-    # sparse accumulation: only nonzero g-entries meet nonzero f-entries
-    f_row_nz = [[j for j, e in enumerate(row) if e.elements]
-                for row in f.entries]
-    acc: dict[tuple[int, int], MultiCob] = {}
-    for i, grow in enumerate(g.entries):
-        for k, ge in enumerate(grow):
-            if not ge.elements:
-                continue
-            for j in f_row_nz[k]:
-                prod = mc_compose(ge, f.entries[k][j])
-                key = (i, j)
-                acc[key] = mc_add(acc[key], prod) if key in acc else prod
-    return matrix(g.row_types, f.col_types,
-                  (tuple(acc.get((i, j), empty_multicob(c, r))
-                         for j, c in enumerate(f.col_types))
-                   for i, r in enumerate(g.row_types)))
+    return sparse_matrix(g.row_types, f.col_types,
+                         grid_product(g, f, mc_compose, mc_add))
 
 
 def mat_add(x: CobMatrix, y: CobMatrix) -> CobMatrix:
     if x.row_types != y.row_types or x.col_types != y.col_types:
         raise ValueError("matrix sum needs identical types")
-    return matrix(x.row_types, x.col_types,
-                  ((mc_add(a, b) for a, b in zip(rx, ry))
-                   for rx, ry in zip(x.entries, y.entries)))
+    return sparse_matrix(x.row_types, x.col_types, grid_sum(x, y, mc_add))
 
 
 def mat_tensor(x: CobMatrix, y: CobMatrix) -> CobMatrix:
-    m2, n2 = y.shape
-    rows = tuple(rx + ry for rx in x.row_types for ry in y.row_types)
-    cols = tuple(cx + cy for cx in x.col_types for cy in y.col_types)
-    left = [[e if e.elements else None for e in row] for row in x.entries]
-    grid = []
-    for i, r in enumerate(rows):
-        i1, i2 = divmod(i, m2)
-        row = []
-        for j, c in enumerate(cols):
-            j1, j2 = divmod(j, n2)
-            xe, ye = left[i1][j1], y.entries[i2][j2]
-            row.append(mc_tensor(xe, ye) if xe is not None and ye.elements
-                       else empty_multicob(c, r))
-        grid.append(tuple(row))
-    return matrix(rows, cols, grid)
+    return sparse_matrix([rx + ry for rx in x.row_types for ry in y.row_types],
+                         [cx + cy for cx in x.col_types for cy in y.col_types],
+                         grid_kron(nonzero_cells(x), y, mc_tensor))
 
 
 def mat_hom(x: CobMatrix, y: CobMatrix) -> CobMatrix:
     """Kronecker combination over (x transposed, y) with the entry operation
     dual(x entry) tensor (y entry)."""
-    xt_rows = tuple(flip(c) for c in x.col_types)
-    xt_cols = tuple(flip(r) for r in x.row_types)
-    m2, n2 = y.shape
-    rows = tuple(rx + ry for rx in xt_rows for ry in y.row_types)
-    cols = tuple(cx + cy for cx in xt_cols for cy in y.col_types)
-    # dualize each nonzero source entry once, not per Kronecker cell
-    dual = [[mc_dual(e) if e.elements else None for e in row]
-            for row in x.entries]
-    grid = []
-    for i, r in enumerate(rows):
-        i1, i2 = divmod(i, m2)
-        row = []
-        for j, c in enumerate(cols):
-            j1, j2 = divmod(j, n2)
-            xe, ye = dual[j1][i1], y.entries[i2][j2]
-            row.append(mc_tensor(xe, ye) if xe is not None and ye.elements
-                       else empty_multicob(c, r))
-        grid.append(tuple(row))
-    return matrix(rows, cols, grid)
+    return sparse_matrix([flip(c) + ry for c in x.col_types for ry in y.row_types],
+                         [flip(r) + cy for r in x.row_types for cy in y.col_types],
+                         grid_kron([(j, i, mc_dual(e)) for i, j, e in nonzero_cells(x)],
+                                   y, mc_tensor))
 
 
 def mat_dsum(x: CobMatrix, y: CobMatrix) -> CobMatrix:
-    rows = x.row_types + y.row_types
-    cols = x.col_types + y.col_types
-    nxr, nxc = x.shape
-    grid = tuple(
-        tuple(
-            (x.entries[i][j] if i < nxr and j < nxc
-             else y.entries[i - nxr][j - nxc] if i >= nxr and j >= nxc
-             else empty_multicob(cols[j], rows[i]))
-            for j in range(len(cols)))
-        for i in range(len(rows))
-    )
-    return matrix(rows, cols, grid)
+    return sparse_matrix(x.row_types + y.row_types, x.col_types + y.col_types,
+                         grid_dsum(x, y))
 
 
 def mat_dagger(x: CobMatrix) -> CobMatrix:
-    return matrix(x.col_types, x.row_types,
-                  ((mc_dagger(x.entries[i][j]) for i in range(len(x.row_types)))
-                   for j in range(len(x.col_types))))
-
-
-def equal(x: CobMatrix, y: CobMatrix) -> bool:
-    """Decidable equality: same types and entrywise equal multisets."""
-    return x == y
+    return sparse_matrix(x.col_types, x.row_types,
+                         {(j, i): mc_dagger(e) for i, j, e in nonzero_cells(x)})
 
 
 def cardinality(x: CobMatrix) -> tuple[tuple[int, ...], ...]:

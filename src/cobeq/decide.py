@@ -1,10 +1,12 @@
 """The equality decision procedure and the axiom self-test battery.
 
 Two terms with the same endpoints are compared through their matrix images.
-Unequal images always refute equality; equal images certify it outright in
-the compact closed dialects, and in smcb whenever both endpoints are proper.
-On a non-proper smcb endpoint with equal images the verdict is Inconclusive:
-neither answer is justified there.
+Unequal images always refute equality; equal images certify it whenever
+both endpoints are proper.  On a non-proper endpoint with equal images the
+verdict is Inconclusive: neither answer is justified there.  Only a hom
+(`-o`) can be improper, so in the compact closed dialects, which have no
+hom, equal images always mean `equal`.  The verdict depends on the two terms
+only; no dialect is passed in.
 
 Both terms are evaluated as written: `interpret_arrow` has a direct case for
 every derived kind, so no expansion runs first.  `card_matrix` (entrywise
@@ -43,9 +45,9 @@ class Verdict:
     """Outcome of an equality query.
 
     `not-equal` always means the images differ.  `equal` is backed either by
-    syntactic identity, by the compact closed dialects, or by proper smcb
-    endpoints.  `inconclusive` is reserved for equal images over a non-proper
-    smcb endpoint, where faithfulness is not available.
+    syntactic identity or by equal images over proper endpoints.
+    `inconclusive` is reserved for equal images over a non-proper endpoint,
+    where faithfulness is not available.
     """
 
     kind: str  # "equal" | "not-equal" | "inconclusive"
@@ -121,11 +123,12 @@ def card_matrix(t: Arrow) -> np.ndarray:
             return out
 
 
-def decide_equal(f: Arrow, g: Arrow, mode: Mode = Mode.SMCB,
-                 certificate: bool = False) -> Verdict:
+def decide_equal(f: Arrow, g: Arrow, *, certificate: bool = False) -> Verdict:
     """Decide whether two terms denote the same arrow.
 
-    Both terms are evaluated as written.  With `certificate=True` a
+    Both terms are evaluated as written, and the verdict depends on them
+    alone: equal images are `equal` unless an endpoint has an improper
+    subformula, which only a hom (`-o`) can form.  With `certificate=True` a
     not-equal verdict carries both images, whose serializations reproduce
     the difference.
     """
@@ -141,8 +144,6 @@ def decide_equal(f: Arrow, g: Arrow, mode: Mode = Mode.SMCB,
         if certificate:
             return Verdict("not-equal", lhs_image=mf, rhs_image=mg)
         return Verdict("not-equal")
-    if mode is not Mode.SMCB:
-        return Verdict("equal")
     src, tgt = fty
     bad = improper_subformula(src) or improper_subformula(tgt)
     if bad is None:

@@ -2,9 +2,13 @@
 plus the purely syntactic matrix normalizer and the direct-definition entry
 oracle used to cross-validate the evaluator.
 
-The evaluator `interpret_arrow` recurses structurally over a term, mapping
-each generator family to its matrix of wires, caps and cups and each
-combinator to the corresponding matrix operation.  `entry_oracle` instead
+Both matrix algebras are built from the same parts.  `generator_cells`
+gives the nonzero pattern of every generator once, over the components of
+its object arguments; the combinators are the grid routines of `cob`.  The
+evaluator `interpret_arrow` takes components to be boundaries and fills each
+generator cell with a wire, cap or cup cobordism.  The normalizer takes
+components to be the direct-sum-free components of `decompose` and fills
+each cell with the generator applied to them.  `entry_oracle` instead
 computes single entries from first principles, by sandwiching the term
 between projection and injection terms, and must agree with the evaluator
 entry by entry.
@@ -13,13 +17,15 @@ entry by entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
+from itertools import product
 
 from .biproduct import Valuation, decompose, valuation
 from .cob import (
-    Boundary, CobMatrix, Cobordism, MultiCob, empty_multicob, flip,
-    identity_cob, identity_matrix, mat_add, mat_compose, mat_dagger,
-    mat_dsum, mat_hom, mat_tensor, singleton, zero_matrix,
+    Boundary, CobMatrix, Cobordism, MultiCob, flip, grid_dsum, grid_kron,
+    grid_product, grid_sum, identity_cob, identity_matrix, mat_add,
+    mat_compose, mat_dagger, mat_dsum, mat_hom, mat_tensor, nonzero_cells,
+    singleton, sparse_matrix,
 )
 from .syntax import (
     Alpha, AlphaInv, Arrow, Compose, Dagger, Dual, Eps, EpsC, Eta, EtaC,
@@ -105,12 +111,48 @@ def _cup_block(a: Boundary, wires: Boundary) -> Cobordism:
     return Cobordism(a + flip(a) + wires, wires, tuple(sorted(pairs)))
 
 
-def _sparse(row_types, col_types, nonzero: dict[tuple[int, int], MultiCob]) -> CobMatrix:
-    return CobMatrix(
-        tuple(row_types), tuple(col_types),
-        tuple(tuple(nonzero.get((i, j), empty_multicob(c, r))
-                    for j, c in enumerate(col_types))
-              for i, r in enumerate(row_types)))
+#: cobordism of a nonzero cell of each cap, cup and swap generator, from its
+#: component boundaries; the cells of every other generator are identities
+_CELL_COBS = {Sigma: _swap_block, Eta: _cap_block, Eps: _cup_block,
+              EtaC: lambda a: _cap_block(a, ""), EpsC: lambda a: _cup_block(a, "")}
+
+
+def generator_cells(t: Arrow, comps) -> list[tuple[int, int, tuple]]:
+    """The nonzero cells of a generator's matrix as (row, col, args), where
+    `args` are the components of its object arguments that the cell joins.
+
+    `comps` maps an object to its component sequence.  Rows and columns are
+    `comps` of the target and of the source, row-major over tensor and hom
+    factors and concatenated over direct sums.
+    """
+    match t:
+        case Id(a) | Lambda(a) | LambdaInv(a) | Inj1(a, _) | Proj1(a, _):
+            cells = [(i, i, (x,)) for i, x in enumerate(comps(a))]
+        case Alpha(a, b, c) | AlphaInv(a, b, c):
+            cells = [(k, k, xyz) for k, xyz in
+                     enumerate(product(comps(a), comps(b), comps(c)))]
+        case Sigma(a, b):
+            ca, cb = comps(a), comps(b)
+            cells = [(j * len(ca) + i, i * len(cb) + j, (x, y))
+                     for i, x in enumerate(ca) for j, y in enumerate(cb)]
+        case Eta(a, b) | Eps(a, b):
+            # a -o (a (x) b): the two copies of a take the same component
+            ca, cb = comps(a), comps(b)
+            cells = [((i * len(ca) + i) * len(cb) + j, j, (x, y))
+                     for i, x in enumerate(ca) for j, y in enumerate(cb)]
+        case EtaC(a) | EpsC(a):
+            ca = comps(a)
+            cells = [(i * len(ca) + i, 0, (x,)) for i, x in enumerate(ca)]
+        case Inj2(a, b) | Proj2(a, b):
+            n = len(comps(a))
+            cells = [(n + j, j, (y,)) for j, y in enumerate(comps(b))]
+        case ZeroMap():
+            cells = []
+        case _:
+            raise ValueError(f"not a generator: {t!r}")
+    if isinstance(t, (Eps, EpsC, Proj2)):  # the transposes of Eta, EtaC, Inj2
+        return [(j, i, args) for i, j, args in cells]
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -132,66 +174,15 @@ def interpret_arrow(t: Arrow, mode: Mode | None = None) -> CobMatrix:
 @cache
 def _eval(t: Arrow) -> CobMatrix:
     match t:
-        case Id() | Alpha() | AlphaInv() | Lambda() | LambdaInv():
-            # strictly associative and unital model: all of these are
-            # identity matrices between equal boundary sequences
+        case Arrow(_kw=str()):
+            # strictly associative and unital model: alpha, lambda, inj and
+            # proj cells are identities, like those of id
             src, tgt = infer_type(t)
-            types = interpret_object(src)
-            assert types == interpret_object(tgt)
-            return identity_matrix(types)
-        case Sigma(a, b):
-            ta, tb = interpret_object(a), interpret_object(b)
-            na, nb = len(ta), len(tb)
-            nz = {(j * na + i, i * nb + j): singleton(_swap_block(ta[i], tb[j]))
-                  for i in range(na) for j in range(nb)}
-            return _sparse(interpret_object(Tensor(b, a)),
-                           interpret_object(Tensor(a, b)), nz)
-        case Eta(a, b):
-            ta, tb = interpret_object(a), interpret_object(b)
-            na, nb = len(ta), len(tb)
-            nz = {(i * (na * nb) + i * nb + j, j):
-                  singleton(_cap_block(ta[i], tb[j]))
-                  for i in range(na) for j in range(nb)}
-            return _sparse(interpret_object(Hom(a, Tensor(a, b))), tb, nz)
-        case Eps(a, b):
-            ta, tb = interpret_object(a), interpret_object(b)
-            na, nb = len(ta), len(tb)
-            nz = {(i, j * (na * nb) + j * nb + i):
-                  singleton(_cup_block(ta[j], tb[i]))
-                  for j in range(na) for i in range(nb)}
-            return _sparse(tb, interpret_object(Tensor(a, Hom(a, b))), nz)
-        case EtaC(a):
-            ta = interpret_object(a)
-            na = len(ta)
-            nz = {(i * na + i, 0): singleton(_cap_block(ta[i], ""))
-                  for i in range(na)}
-            return _sparse(interpret_object(Tensor(Dual(a), a)), ("",), nz)
-        case EpsC(a):
-            ta = interpret_object(a)
-            na = len(ta)
-            nz = {(0, j * na + j): singleton(_cup_block(ta[j], ""))
-                  for j in range(na)}
-            return _sparse(("",), interpret_object(Tensor(a, Dual(a))), nz)
-        case Inj1(a, b):
-            ta, tb = interpret_object(a), interpret_object(b)
-            nz = {(j, j): singleton(identity_cob(c)) for j, c in enumerate(ta)}
-            return _sparse(ta + tb, ta, nz)
-        case Inj2(a, b):
-            ta, tb = interpret_object(a), interpret_object(b)
-            nz = {(len(ta) + j, j): singleton(identity_cob(c))
-                  for j, c in enumerate(tb)}
-            return _sparse(ta + tb, tb, nz)
-        case Proj1(a, b):
-            ta, tb = interpret_object(a), interpret_object(b)
-            nz = {(i, i): singleton(identity_cob(c)) for i, c in enumerate(ta)}
-            return _sparse(ta, ta + tb, nz)
-        case Proj2(a, b):
-            ta, tb = interpret_object(a), interpret_object(b)
-            nz = {(i, len(ta) + i): singleton(identity_cob(c))
-                  for i, c in enumerate(tb)}
-            return _sparse(tb, ta + tb, nz)
-        case ZeroMap(a, b):
-            return zero_matrix(interpret_object(b), interpret_object(a))
+            cob = _CELL_COBS.get(type(t))
+            return sparse_matrix(
+                interpret_object(tgt), interpret_object(src),
+                {(i, j): singleton(cob(*args) if cob else identity_cob("".join(args)))
+                 for i, j, args in generator_cells(t, interpret_object)})
         case Compose(g, f):
             return mat_compose(_eval(g), _eval(f))
         case Plus(l, r):
@@ -257,11 +248,20 @@ def _sum_sorted(terms) -> tuple[Arrow, ...]:
     return tuple(sorted(terms, key=render_arrow))
 
 
-def _tm_sparse(rows, cols, nonzero: dict[tuple[int, int], tuple[Arrow, ...]]) -> TermMatrix:
-    return TermMatrix(
-        tuple(rows), tuple(cols),
-        tuple(tuple(nonzero.get((i, j), ()) for j in range(len(cols)))
-              for i in range(len(rows))))
+_term_matrix = partial(sparse_matrix, make=TermMatrix, zero=lambda c, r: ())
+
+
+def _add_sums(x: tuple[Arrow, ...], y: tuple[Arrow, ...]) -> tuple[Arrow, ...]:
+    return _sum_sorted(x + y)
+
+
+def _sums(op):
+    """The entry operation that applies `op` to every pair of summands."""
+    return lambda xs, ys: _sum_sorted(op(x, y) for x in xs for y in ys)
+
+
+def _components(a: Obj) -> tuple[Obj, ...]:
+    return decompose(a).components
 
 
 def normalize_syntactic(t: Arrow) -> TermMatrix:
@@ -278,138 +278,39 @@ def normalize_syntactic(t: Arrow) -> TermMatrix:
 @cache
 def _norm(t: Arrow) -> TermMatrix:
     match t:
-        case Id(a):
-            comps = decompose(a).components
-            return _tm_sparse(comps, comps,
-                              {(i, i): (Id(c),) for i, c in enumerate(comps)})
-        case Alpha(a, b, c) | AlphaInv(a, b, c):
-            ca = decompose(a).components
-            cb = decompose(b).components
-            cc = decompose(c).components
+        case Arrow(_kw=str()):
             src, tgt = infer_type(t)
-            mk = Alpha if isinstance(t, Alpha) else AlphaInv
-            nz = {}
-            k = 0
-            for x in ca:
-                for y in cb:
-                    for z in cc:
-                        nz[(k, k)] = (mk(x, y, z),)
-                        k += 1
-            return _tm_sparse(decompose(tgt).components, decompose(src).components, nz)
-        case Lambda(a):
-            comps = decompose(a).components
-            cols = decompose(Tensor(Unit(), a)).components
-            return _tm_sparse(comps, cols,
-                              {(i, i): (Lambda(c),) for i, c in enumerate(comps)})
-        case LambdaInv(a):
-            comps = decompose(a).components
-            rows = decompose(Tensor(Unit(), a)).components
-            return _tm_sparse(rows, comps,
-                              {(i, i): (LambdaInv(c),) for i, c in enumerate(comps)})
-        case Sigma(a, b):
-            ca, cb = decompose(a).components, decompose(b).components
-            na, nb = len(ca), len(cb)
-            nz = {(j * na + i, i * nb + j): (Sigma(ca[i], cb[j]),)
-                  for i in range(na) for j in range(nb)}
-            return _tm_sparse(decompose(Tensor(b, a)).components,
-                              decompose(Tensor(a, b)).components, nz)
-        case Eta(a, b):
-            ca, cb = decompose(a).components, decompose(b).components
-            na, nb = len(ca), len(cb)
-            nz = {(i * (na * nb) + i * nb + j, j): (Eta(ca[i], cb[j]),)
-                  for i in range(na) for j in range(nb)}
-            return _tm_sparse(decompose(Hom(a, Tensor(a, b))).components, cb, nz)
-        case Eps(a, b):
-            ca, cb = decompose(a).components, decompose(b).components
-            na, nb = len(ca), len(cb)
-            nz = {(i, j * (na * nb) + j * nb + i): (Eps(ca[j], cb[i]),)
-                  for j in range(na) for i in range(nb)}
-            return _tm_sparse(cb, decompose(Tensor(a, Hom(a, b))).components, nz)
-        case Inj1(a, b):
-            ca, cb = decompose(a).components, decompose(b).components
-            nz = {(j, j): (Id(c),) for j, c in enumerate(ca)}
-            return _tm_sparse(ca + cb, ca, nz)
-        case Inj2(a, b):
-            ca, cb = decompose(a).components, decompose(b).components
-            nz = {(len(ca) + j, j): (Id(c),) for j, c in enumerate(cb)}
-            return _tm_sparse(ca + cb, cb, nz)
-        case Proj1(a, b):
-            ca, cb = decompose(a).components, decompose(b).components
-            nz = {(i, i): (Id(c),) for i, c in enumerate(ca)}
-            return _tm_sparse(ca, ca + cb, nz)
-        case Proj2(a, b):
-            ca, cb = decompose(a).components, decompose(b).components
-            nz = {(i, len(ca) + i): (Id(c),) for i, c in enumerate(cb)}
-            return _tm_sparse(cb, ca + cb, nz)
-        case ZeroMap(a, b):
-            return _tm_sparse(decompose(b).components, decompose(a).components, {})
+            gen = Id if isinstance(t, (Inj1, Inj2, Proj1, Proj2)) else type(t)
+            return _term_matrix(
+                _components(tgt), _components(src),
+                {(i, j): (gen(*args),)
+                 for i, j, args in generator_cells(t, _components)})
         case Compose(g, f):
             mg, mf = _norm(g), _norm(f)
-            assert mg.col_components == mf.row_components
-            f_row_nz = [[j for j, s in enumerate(row) if s]
-                        for row in mf.entries]
-            acc: dict[tuple[int, int], list[Arrow]] = {}
-            for i, grow in enumerate(mg.entries):
-                for k, gs in enumerate(grow):
-                    if not gs:
-                        continue
-                    for j in f_row_nz[k]:
-                        acc.setdefault((i, j), []).extend(
-                            Compose(x, y) for x in gs
-                            for y in mf.entries[k][j])
-            return _tm_sparse(mg.row_components, mf.col_components,
-                              {key: _sum_sorted(ts) for key, ts in acc.items()})
+            return _term_matrix(mg.row_components, mf.col_components,
+                                grid_product(mg, mf, _sums(Compose), _add_sums))
         case Plus(l, r):
             ml, mr = _norm(l), _norm(r)
-            return TermMatrix(
-                ml.row_components, ml.col_components,
-                tuple(tuple(_sum_sorted(a + b) for a, b in zip(ra, rb))
-                      for ra, rb in zip(ml.entries, mr.entries)))
+            return _term_matrix(ml.row_components, ml.col_components,
+                                grid_sum(ml, mr, _add_sums))
         case TensorMap(l, r):
             ml, mr = _norm(l), _norm(r)
-            m2, n2 = mr.shape
-            rows = tuple(Tensor(x, y) for x in ml.row_components
-                         for y in mr.row_components)
-            cols = tuple(Tensor(x, y) for x in ml.col_components
-                         for y in mr.col_components)
-            nz = {}
-            for i1, lrow in enumerate(ml.entries):
-                for j1, ls in enumerate(lrow):
-                    if not ls:
-                        continue
-                    for i2, rrow in enumerate(mr.entries):
-                        for j2, rs in enumerate(rrow):
-                            if not rs:
-                                continue
-                            nz[(i1 * m2 + i2, j1 * n2 + j2)] = _sum_sorted(
-                                TensorMap(x, y) for x in ls for y in rs)
-            return _tm_sparse(rows, cols, nz)
+            return _term_matrix(
+                [Tensor(x, y) for x in ml.row_components for y in mr.row_components],
+                [Tensor(x, y) for x in ml.col_components for y in mr.col_components],
+                grid_kron(nonzero_cells(ml), mr, _sums(TensorMap)))
         case OplusMap(l, r):
             ml, mr = _norm(l), _norm(r)
-            rows = ml.row_components + mr.row_components
-            cols = ml.col_components + mr.col_components
-            nr, nc = ml.shape
-            grid = tuple(
-                tuple((ml.entries[i][j] if i < nr and j < nc
-                       else mr.entries[i - nr][j - nc] if i >= nr and j >= nc
-                       else ())
-                      for j in range(len(cols)))
-                for i in range(len(rows)))
-            return TermMatrix(rows, cols, grid)
+            return _term_matrix(ml.row_components + mr.row_components,
+                                ml.col_components + mr.col_components,
+                                grid_dsum(ml, mr))
         case Whisker(a, g):
-            mg = _norm(g)
-            ca = decompose(a).components
-            m2, n2 = mg.shape
-            rows = tuple(Hom(x, y) for x in ca for y in mg.row_components)
-            cols = tuple(Hom(x, y) for x in ca for y in mg.col_components)
-            nz = {}
-            for k, c in enumerate(ca):
-                for i2, grow in enumerate(mg.entries):
-                    for j2, gs in enumerate(grow):
-                        if gs:
-                            nz[(k * m2 + i2, k * n2 + j2)] = _sum_sorted(
-                                Whisker(c, y) for y in gs)
-            return _tm_sparse(rows, cols, nz)
+            mg, ca = _norm(g), _components(a)
+            return _term_matrix(
+                [Hom(x, y) for x in ca for y in mg.row_components],
+                [Hom(x, y) for x in ca for y in mg.col_components],
+                grid_kron([(k, k, (c,)) for k, c in enumerate(ca)], mg,
+                          _sums(Whisker)))
         case _:
             raise ModeViolation(f"normalize_syntactic cannot handle {t!r}")
 

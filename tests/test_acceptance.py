@@ -231,12 +231,12 @@ def test_acceptance_6_decision_closure():
     for _ in range(200):
         a, b = random_equal_pair(rng, steps=rng.randint(1, 5),
                                  mode=Mode.SMCB, depth=2, obj_depth=2)
-        v = decide_equal(a, b, Mode.SMCB)
+        v = decide_equal(a, b)
         assert v.kind == "equal", (render_arrow(a), render_arrow(b), v.summary())
     pairs = inequivalent_pairs()
     assert len(pairs) >= 50
     for lhs, rhs in pairs:
-        v = decide_equal(lhs, rhs, Mode.SMCB)
+        v = decide_equal(lhs, rhs)
         assert v.kind == "not-equal", (render_arrow(lhs), render_arrow(rhs))
     report(6, f"200 rewrite pairs equal; {len(pairs)} listed pairs not-equal")
 

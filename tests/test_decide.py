@@ -32,6 +32,17 @@ def test_inconclusive_names_the_offender():
     assert v.summary().startswith("inconclusive: ")
 
 
+def test_verdict_depends_on_the_terms_only():
+    # an improper endpoint gives inconclusive with no dialect passed in, and
+    # an old positional dialect argument is refused, not read as
+    # `certificate`
+    h = Hom(P, Unit())
+    v = decide_equal(Id(h), Plus(Id(h), ZeroMap(h, h)))
+    assert v.summary() == "inconclusive: endpoint subformula p -o I is not proper"
+    with pytest.raises(TypeError):
+        decide_equal(Id(h), Plus(Id(h), ZeroMap(h, h)), Mode.CCB)
+
+
 def test_syntactic_identity_wins_even_on_improper_endpoints():
     f = Id(Hom(P, Unit()))
     assert decide_equal(f, f).kind == "equal"
@@ -41,7 +52,7 @@ def test_dagger_involution_equal():
     rng = random.Random(1)
     for _ in range(15):
         t = random_arrow(rng, Mode.DCCB, depth=2, obj_depth=2)
-        assert decide_equal(Dagger(Dagger(t)), t, Mode.DCCB).kind == "equal"
+        assert decide_equal(Dagger(Dagger(t)), t).kind == "equal"
 
 
 def test_type_mismatch_raises():
@@ -54,13 +65,13 @@ def test_reflexive_and_symmetric():
     for mode in Mode:
         for _ in range(25):
             f = random_arrow(rng, mode, depth=2, obj_depth=2)
-            assert decide_equal(f, f, mode).kind == "equal"
+            assert decide_equal(f, f).kind == "equal"
             g = random_arrow(rng, mode, depth=2, obj_depth=2)
             try:
-                v1 = decide_equal(f, g, mode)
+                v1 = decide_equal(f, g)
             except TypeMismatch:
                 continue
-            assert v1.kind == decide_equal(g, f, mode).kind
+            assert v1.kind == decide_equal(g, f).kind
 
 
 def test_card_matrix_matches_interpretation():
@@ -120,7 +131,7 @@ def test_rewrite_closure():
     rng = random.Random(11)
     for _ in range(40):
         a, b = random_equal_pair(rng, steps=rng.randint(1, 5), mode=Mode.SMCB)
-        assert decide_equal(a, b, Mode.SMCB).kind == "equal"
+        assert decide_equal(a, b).kind == "equal"
 
 
 def test_axiom_suite_deterministic_and_green():

@@ -6,11 +6,12 @@ import zlib
 import pytest
 
 from cobeq import (
-    Compose, Dual, EpsC, EtaC, Gen, Hom, Id, Inj1, Mode, ModeViolation,
-    Oplus, Plus, Proj2, Sigma, Tensor, TensorMap, Unit, Whisker, Zero,
-    ZeroMap, decompose, dual_map, entry_oracle, expand_derived, infer_type,
-    interpret_arrow, interpret_object, matrix_to_json, matrix_to_text,
-    normalize_syntactic, term_matrix_to_json, term_matrix_to_text,
+    Alpha, AlphaInv, Compose, Dual, EpsC, EtaC, Gen, Hom, Id, Inj1, Lambda,
+    LambdaInv, Mode, ModeViolation, Oplus, Plus, Proj2, Sigma, Tensor,
+    TensorMap, Unit, Whisker, Zero, ZeroMap, decompose, dual_map,
+    entry_oracle, expand_derived, infer_type, interpret_arrow,
+    interpret_object, matrix_to_json, matrix_to_text, normalize_syntactic,
+    term_matrix_to_json, term_matrix_to_text,
 )
 from cobeq.cob import (
     cobordism, empty_multicob, identity_cob, mc_add, mc_dual, multicob,
@@ -242,8 +243,17 @@ def _forbidden_nodes(term):
 def test_normalize_purity_and_soundness():
     rng = random.Random(8)
     from cobeq.biproduct import Valuation, valuation
-    for _ in range(60):
-        t = random_arrow(rng, Mode.SMCB, depth=3, obj_depth=2)
+    terms = [random_arrow(rng, Mode.SMCB, depth=3, obj_depth=2)
+             for _ in range(60)]
+    # every smcb generator kind, over arguments of several components with
+    # a 0-valued or an I-valued one among them
+    objs = (Oplus(P, Q), Oplus(P, Zero()), Oplus(Unit(), P))
+    for k in range(3):
+        a, b, c = objs[k:] + objs[:k]
+        terms += [Id(a), Alpha(a, b, c), AlphaInv(a, b, c), Lambda(a),
+                  LambdaInv(a), Sigma(a, b), Eta(a, b), Eps(a, b), Inj1(a, b),
+                  Inj2(a, b), Proj1(a, b), Proj2(a, b), ZeroMap(a, b)]
+    for t in terms:
         tm = normalize_syntactic(t)
         src, tgt = infer_type(t)
         assert tm.col_components == decompose(src).components
