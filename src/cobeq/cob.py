@@ -317,10 +317,6 @@ def sparse_matrix(row_types, col_types, cells: dict, make=CobMatrix,
     return make(rows, cols, tuple(map(tuple, grid)))
 
 
-def _accumulate(acc: dict, key, e, add) -> None:
-    acc[key] = add(acc[key], e) if key in acc else e
-
-
 def grid_product(g, f, mul, add) -> dict:
     """Matrix product g . f: cell (i, j) sums mul(g[i][k], f[k][j]) over k."""
     f_rows = [[] for _ in f.entries]
@@ -329,14 +325,15 @@ def grid_product(g, f, mul, add) -> dict:
     acc: dict = {}
     for i, k, ge in nonzero_cells(g):
         for j, fe in f_rows[k]:
-            _accumulate(acc, (i, j), mul(ge, fe), add)
+            e = mul(ge, fe)
+            acc[i, j] = add(acc[i, j], e) if (i, j) in acc else e
     return acc
 
 
 def grid_sum(x, y, add) -> dict:
     acc = {(i, j): e for i, j, e in nonzero_cells(x)}
     for i, j, e in nonzero_cells(y):
-        _accumulate(acc, (i, j), e, add)
+        acc[i, j] = add(acc[i, j], e) if (i, j) in acc else e
     return acc
 
 
