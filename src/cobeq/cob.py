@@ -4,9 +4,7 @@ A boundary is a string over '+'/'-'.  A cobordism between two boundaries is a
 perfect matching on the combined endpoints plus a count of closed components;
 gluing composes matchings by path following.  Multisets of cobordisms form the
 hom-sets of the enriched model, and typed matrices of such multisets form the
-biproduct completion in which every diagram equality is decided.  The grid
-routines behind the matrix operations take the entry operations as
-arguments, so the term matrices of `interp.normalize_syntactic` use them too.
+biproduct completion in which every diagram equality is decided.
 
 All values are immutable with a canonical internal order, so `==` is the
 semantic equality and every operation is safe under concurrency.

@@ -127,10 +127,8 @@ def decide_equal(f: Arrow, g: Arrow, *, certificate: bool = False) -> Verdict:
     """Decide whether two terms denote the same arrow.
 
     Both terms are evaluated as written, and the verdict depends on them
-    alone: equal images are `equal` unless an endpoint has an improper
-    subformula, which only a hom (`-o`) can form.  With `certificate=True` a
-    not-equal verdict carries both images, whose serializations reproduce
-    the difference.
+    alone.  With `certificate=True` a not-equal verdict carries both images,
+    whose serializations reproduce the difference.
     """
     fty, gty = infer_type(f), infer_type(g)
     if fty != gty:
