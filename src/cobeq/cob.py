@@ -4,7 +4,8 @@ A boundary is a string over '+'/'-'.  A cobordism between two boundaries is a
 perfect matching on the combined endpoints plus a count of closed components;
 gluing composes matchings by path following.  Multisets of cobordisms form the
 hom-sets of the enriched model, and typed matrices of such multisets form the
-biproduct completion in which every diagram equality is decided.
+biproduct completion in which every diagram equality is decided; a matrix
+stores only its nonzero entries.
 
 All values are immutable with a canonical internal order, so `==` is the
 semantic equality and every operation is safe under concurrency.
@@ -13,8 +14,10 @@ semantic equality and every operation is safe under concurrency.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 Boundary = str
 
@@ -227,23 +230,15 @@ def singleton(c: Cobordism) -> MultiCob:
 def mc_add(x: MultiCob, y: MultiCob) -> MultiCob:
     if (x.source, x.target) != (y.source, y.target):
         raise ValueError("multiset union needs equal boundaries")
-    if not x.elements:
-        return y
-    if not y.elements:
-        return x
     return multicob(x.source, x.target, x.elements + y.elements)
 
 
 def mc_compose(g: MultiCob, f: MultiCob) -> MultiCob:
-    if not g.elements or not f.elements:
-        return empty_multicob(f.source, g.target)
     return multicob(f.source, g.target,
                     (glue(cg, cf) for cg in g.elements for cf in f.elements))
 
 
 def mc_tensor(x: MultiCob, y: MultiCob) -> MultiCob:
-    if not x.elements or not y.elements:
-        return empty_multicob(x.source + y.source, x.target + y.target)
     return multicob(x.source + y.source, x.target + y.target,
                     (tensor_cob(cx, cy) for cx in x.elements for cy in y.elements))
 
@@ -261,67 +256,72 @@ def mc_dual(x: MultiCob) -> MultiCob:
 # Typed matrices
 
 
+def dense_grid(cells, rows, cols, zero) -> tuple:
+    """The grid of a cell dict, with zero(col, row) in every other cell."""
+    grid = [[zero(c, r) for c in cols] for r in rows]
+    for (i, j), e in cells.items():
+        grid[i][j] = e
+    return tuple(map(tuple, grid))
+
+
 @dataclass(frozen=True)
 class CobMatrix:
-    """A grid of multisets, entry [i][j] running from col_types[j] to
-    row_types[i].  Zero rows or columns are allowed."""
+    """A matrix of multisets that stores only its nonzero entries: `cells`
+    maps (i, j) to the nonempty multiset from col_types[j] to row_types[i].
+    `entries` is the dense grid, with empty multisets in the other cells.
+    Zero rows or columns are allowed."""
 
     row_types: tuple[Boundary, ...]
     col_types: tuple[Boundary, ...]
-    entries: tuple[tuple[MultiCob, ...], ...]
+    cells: Mapping[tuple[int, int], MultiCob]
 
     def __post_init__(self):
-        if len(self.entries) != len(self.row_types):
-            raise ValueError("row count does not match row types")
-        for i, row in enumerate(self.entries):
-            if len(row) != len(self.col_types):
-                raise ValueError("column count does not match column types")
-            for j, e in enumerate(row):
-                if e.source != self.col_types[j] or e.target != self.row_types[i]:
-                    raise ValueError(f"entry ({i},{j}) has boundaries "
-                                     f"{e.source!r} -> {e.target!r}, expected "
-                                     f"{self.col_types[j]!r} -> {self.row_types[i]!r}")
+        m, n = self.shape
+        for (i, j), e in self.cells.items():
+            if not (0 <= i < m and 0 <= j < n and e.elements and
+                    (e.source, e.target) == (self.col_types[j], self.row_types[i])):
+                raise ValueError(f"cell ({i},{j}) of a {m}x{n} matrix is out of "
+                                 f"range, zero or has the wrong boundaries "
+                                 f"{e.source!r} -> {e.target!r}")
+        object.__setattr__(self, "cells", MappingProxyType(self.cells))
+
+    def __hash__(self):
+        return hash((self.row_types, self.col_types, frozenset(self.cells.items())))
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_types), len(self.col_types))
 
+    @property
+    def entries(self) -> tuple[tuple[MultiCob, ...], ...]:
+        return dense_grid(self.cells, self.row_types, self.col_types, empty_multicob)
+
 
 def matrix(row_types, col_types, entries) -> CobMatrix:
-    return CobMatrix(tuple(row_types), tuple(col_types),
-                     tuple(tuple(row) for row in entries))
+    """The matrix of a dense grid, checking its shape and every entry's type."""
+    grid = tuple(map(tuple, entries))
+    m = CobMatrix(tuple(row_types), tuple(col_types),
+                  {(i, j): e for i, row in enumerate(grid)
+                   for j, e in enumerate(row) if e.elements})
+    if m.entries != grid:
+        raise ValueError("grid shape or zero-entry boundaries do not fit the types")
+    return m
 
 
 # ---------------------------------------------------------------------------
 # Grid routines, shared with the term matrices of `interp.normalize_syntactic`.
-# A matrix is any value with a dense `entries` grid and a `shape`, whose zero
-# entries are the falsy ones; each routine visits only the nonzero cells and
-# returns the nonzero cells of its result as a dict (i, j) -> entry.
-
-
-def nonzero_cells(m) -> list[tuple[int, int, object]]:
-    return [(i, j, e) for i, row in enumerate(m.entries)
-            for j, e in enumerate(row) if e]
-
-
-def sparse_matrix(row_types, col_types, cells: dict, make=CobMatrix,
-                  zero=empty_multicob):
-    """make(rows, cols, grid) for the dense grid holding `cells` and
-    zero(col type, row type) in every other cell."""
-    rows, cols = tuple(row_types), tuple(col_types)
-    grid = [[zero(c, r) for c in cols] for r in rows]
-    for (i, j), e in cells.items():
-        grid[i][j] = e
-    return make(rows, cols, tuple(map(tuple, grid)))
+# A matrix is any value with a `cells` dict of its nonzero entries and a
+# `shape`; each routine visits only those cells and returns the nonzero cells
+# of its result as a dict (i, j) -> entry.
 
 
 def grid_product(g, f, mul, add) -> dict:
     """Matrix product g . f: cell (i, j) sums mul(g[i][k], f[k][j]) over k."""
-    f_rows = [[] for _ in f.entries]
-    for k, j, fe in nonzero_cells(f):
+    f_rows = [[] for _ in range(f.shape[0])]
+    for (k, j), fe in f.cells.items():
         f_rows[k].append((j, fe))
     acc: dict = {}
-    for i, k, ge in nonzero_cells(g):
+    for (i, k), ge in g.cells.items():
         for j, fe in f_rows[k]:
             e = mul(ge, fe)
             acc[i, j] = add(acc[i, j], e) if (i, j) in acc else e
@@ -329,27 +329,27 @@ def grid_product(g, f, mul, add) -> dict:
 
 
 def grid_sum(x, y, add) -> dict:
-    acc = {(i, j): e for i, j, e in nonzero_cells(x)}
-    for i, j, e in nonzero_cells(y):
-        acc[i, j] = add(acc[i, j], e) if (i, j) in acc else e
+    acc = dict(x.cells)
+    for ij, e in y.cells.items():
+        acc[ij] = add(acc[ij], e) if ij in acc else e
     return acc
 
 
 def grid_kron(x_cells, y, op) -> dict:
-    """Kronecker product: nonzero cell (i1, j1, a) of the left factor and
-    (i2, j2, b) of y give op(a, b) at (i1 * m + i2, j1 * n + j2), where y is
+    """Kronecker product: nonzero cell ((i1, j1), a) of the left factor and
+    ((i2, j2), b) of y give op(a, b) at (i1 * m + i2, j1 * n + j2), where y is
     m x n.  Tensor, hom and whisker all take this form."""
     m, n = y.shape
-    y_cells = nonzero_cells(y)
+    y_cells = y.cells.items()
     return {(i1 * m + i2, j1 * n + j2): op(a, b)
-            for i1, j1, a in x_cells for i2, j2, b in y_cells}
+            for (i1, j1), a in x_cells for (i2, j2), b in y_cells}
 
 
 def grid_dsum(x, y) -> dict:
     """Block diagonal: x top left, y bottom right."""
     m, n = x.shape
-    cells = {(i, j): e for i, j, e in nonzero_cells(x)}
-    cells.update(((m + i, n + j), e) for i, j, e in nonzero_cells(y))
+    cells = dict(x.cells)
+    cells.update(((m + i, n + j), e) for (i, j), e in y.cells.items())
     return cells
 
 
@@ -358,58 +358,56 @@ def grid_dsum(x, y) -> dict:
 
 
 def zero_matrix(row_types, col_types) -> CobMatrix:
-    return sparse_matrix(row_types, col_types, {})
+    return CobMatrix(tuple(row_types), tuple(col_types), {})
 
 
 def identity_matrix(types) -> CobMatrix:
     types = tuple(types)
-    return sparse_matrix(types, types, {(i, i): singleton(identity_cob(t))
-                                        for i, t in enumerate(types)})
+    return CobMatrix(types, types, {(i, i): singleton(identity_cob(t))
+                                    for i, t in enumerate(types)})
 
 
 def mat_compose(g: CobMatrix, f: CobMatrix) -> CobMatrix:
     if g.col_types != f.row_types:
         raise ValueError(f"cannot compose {g.shape} after {f.shape}: "
                          f"middle types {g.col_types!r} vs {f.row_types!r}")
-    return sparse_matrix(g.row_types, f.col_types,
-                         grid_product(g, f, mc_compose, mc_add))
+    return CobMatrix(g.row_types, f.col_types,
+                     grid_product(g, f, mc_compose, mc_add))
 
 
 def mat_add(x: CobMatrix, y: CobMatrix) -> CobMatrix:
     if x.row_types != y.row_types or x.col_types != y.col_types:
         raise ValueError("matrix sum needs identical types")
-    return sparse_matrix(x.row_types, x.col_types, grid_sum(x, y, mc_add))
+    return CobMatrix(x.row_types, x.col_types, grid_sum(x, y, mc_add))
 
 
 def mat_tensor(x: CobMatrix, y: CobMatrix) -> CobMatrix:
-    return sparse_matrix([rx + ry for rx in x.row_types for ry in y.row_types],
-                         [cx + cy for cx in x.col_types for cy in y.col_types],
-                         grid_kron(nonzero_cells(x), y, mc_tensor))
+    return CobMatrix(tuple(rx + ry for rx in x.row_types for ry in y.row_types),
+                     tuple(cx + cy for cx in x.col_types for cy in y.col_types),
+                     grid_kron(x.cells.items(), y, mc_tensor))
 
 
 def mat_hom(x: CobMatrix, y: CobMatrix) -> CobMatrix:
     """Kronecker combination over (x transposed, y) with the entry operation
     dual(x entry) tensor (y entry)."""
-    return sparse_matrix([flip(c) + ry for c in x.col_types for ry in y.row_types],
-                         [flip(r) + cy for r in x.row_types for cy in y.col_types],
-                         grid_kron([(j, i, mc_dual(e)) for i, j, e in nonzero_cells(x)],
-                                   y, mc_tensor))
+    return CobMatrix(tuple(flip(c) + ry for c in x.col_types for ry in y.row_types),
+                     tuple(flip(r) + cy for r in x.row_types for cy in y.col_types),
+                     grid_kron([((j, i), mc_dual(e)) for (i, j), e in x.cells.items()],
+                               y, mc_tensor))
 
 
 def mat_dsum(x: CobMatrix, y: CobMatrix) -> CobMatrix:
-    return sparse_matrix(x.row_types + y.row_types, x.col_types + y.col_types,
-                         grid_dsum(x, y))
+    return CobMatrix(x.row_types + y.row_types, x.col_types + y.col_types,
+                     grid_dsum(x, y))
 
 
 def mat_dagger(x: CobMatrix) -> CobMatrix:
-    return sparse_matrix(x.col_types, x.row_types,
-                         {(j, i): mc_dagger(e) for i, j, e in nonzero_cells(x)})
+    return CobMatrix(x.col_types, x.row_types,
+                     {(j, i): mc_dagger(e) for (i, j), e in x.cells.items()})
 
 
 def cardinality(x: CobMatrix) -> tuple[tuple[int, ...], ...]:
-    """Entrywise multiset sizes.  Homomorphic for all six matrix operations,
-    so `decide.card_matrix` can compute it from a term without building the
-    combinators' cobordism matrices."""
+    """Entrywise multiset sizes."""
     return tuple(tuple(len(e) for e in row) for row in x.entries)
 
 

@@ -9,16 +9,14 @@ hom, equal images always mean `equal`.  The verdict depends on the two terms
 only; no dialect is passed in.
 
 Both terms are evaluated as written: `interpret_arrow` has a direct case for
-every derived kind, so no expansion runs first.  `card_matrix` (entrywise
-multiset sizes, computed compositionally with numpy) is kept as a public
-function but is not on the decision path.
+every derived kind, so no expansion runs first.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .biproduct import improper_subformula
 from .cob import CobMatrix, cardinality, matrix_to_json, matrix_to_text
@@ -26,7 +24,7 @@ from .generate import (
     DEFAULT_GENS, random_arrow, random_arrow_with_source, random_object,
     same_type_variant,
 )
-from .interp import interpret_arrow, interpret_object
+from .interp import interpret_arrow
 from .syntax import (
     Alpha, AlphaInv, Arrow, Compose, Dagger, Dual, Eps, EpsC, Eta, EtaC,
     Hom, HomMap, Id, Inj1, Inj2, Lambda, LambdaInv, Mode, Oplus, OplusMap,
@@ -35,9 +33,6 @@ from .syntax import (
 )
 # not used here: bench/layers.py rebinds cobeq.decide.expand_derived by name
 from .syntax import expand_derived  # noqa: F401
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -76,51 +71,9 @@ class Verdict:
         return out
 
 
-def _obj_eye(n: int) -> np.ndarray:
-    import numpy as np
-
-    out = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        out[i, i] = 1
-    return out
-
-
-def card_matrix(t: Arrow) -> np.ndarray:
-    """Entrywise multiset sizes of the image of `t`, computed without
-    building any cobordism matrix for the combinator part of the term.
-    Exact integer arithmetic (no overflow).  Needs numpy, which is imported
-    here so that `import cobeq` does not load it."""
-    import numpy as np
-
-    match t:
-        case Compose(g, f):
-            return card_matrix(g) @ card_matrix(f)
-        case Plus(l, r):
-            return card_matrix(l) + card_matrix(r)
-        case TensorMap(l, r):
-            return np.kron(card_matrix(l), card_matrix(r))
-        case OplusMap(l, r):
-            a, b = card_matrix(l), card_matrix(r)
-            out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]),
-                           dtype=object)
-            out[:a.shape[0], :a.shape[1]] = a
-            out[a.shape[0]:, a.shape[1]:] = b
-            return out
-        case Whisker(a, g):
-            return np.kron(_obj_eye(len(interpret_object(a))), card_matrix(g))
-        case HomMap(f, g):
-            return np.kron(card_matrix(f).T, card_matrix(g))
-        case Dagger(f):
-            return card_matrix(f).T
-        case _:
-            card = cardinality(interpret_arrow(t))
-            src, tgt = infer_type(t)
-            out = np.zeros((len(interpret_object(tgt)),
-                            len(interpret_object(src))), dtype=object)
-            for i, row in enumerate(card):
-                for j, c in enumerate(row):
-                    out[i, j] = c
-            return out
+def card_matrix(t: Arrow) -> tuple[tuple[int, ...], ...]:
+    """Entrywise multiset sizes of the image of `t`."""
+    return cardinality(interpret_arrow(t))
 
 
 def decide_equal(f: Arrow, g: Arrow, *, certificate: bool = False) -> Verdict:

@@ -16,16 +16,18 @@ entry by entry.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import product
+from types import MappingProxyType
 
 from .biproduct import Valuation, decompose, valuation
 from .cob import (
-    Boundary, CobMatrix, Cobordism, MultiCob, flip, grid_dsum, grid_kron,
-    grid_product, grid_sum, identity_cob, identity_matrix, mat_add,
-    mat_compose, mat_dagger, mat_dsum, mat_hom, mat_tensor, nonzero_cells,
-    singleton, sparse_matrix,
+    Boundary, CobMatrix, Cobordism, MultiCob, dense_grid, flip, grid_dsum,
+    grid_kron, grid_product, grid_sum, identity_cob, identity_matrix,
+    mat_add, mat_compose, mat_dagger, mat_dsum, mat_hom, mat_tensor,
+    singleton,
 )
 from .syntax import (
     Alpha, AlphaInv, Arrow, Compose, Dagger, Dual, Eps, EpsC, Eta, EtaC,
@@ -179,7 +181,7 @@ def _eval(t: Arrow) -> CobMatrix:
             # proj cells are identities, like those of id
             src, tgt = infer_type(t)
             cob = _CELL_COBS.get(type(t))
-            return sparse_matrix(
+            return CobMatrix(
                 interpret_object(tgt), interpret_object(src),
                 {(i, j): singleton(cob(*args) if cob else identity_cob("".join(args)))
                  for i, j, args in generator_cells(t, interpret_object)})
@@ -227,18 +229,31 @@ def entry_oracle(t: Arrow, i: int, j: int) -> MultiCob:
 class TermMatrix:
     """A matrix of formal sums of direct-sum-free terms.
 
-    Rows and columns are indexed by the components of the target and source;
-    an empty sum denotes the zero arrow.  No entry mentions (+) on objects or
-    arrows, injections or projections.
+    Rows and columns are indexed by the components of the target and source.
+    Only nonzero entries are stored: `cells` maps (i, j) to a nonempty sum,
+    and `entries` is the dense grid with the empty sum () in the other cells.
+    No entry mentions (+) on objects or arrows, injections or projections.
     """
 
     row_components: tuple[Obj, ...]
     col_components: tuple[Obj, ...]
-    entries: tuple[tuple[tuple[Arrow, ...], ...], ...]
+    cells: Mapping[tuple[int, int], tuple[Arrow, ...]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", MappingProxyType(self.cells))
+
+    def __hash__(self):
+        return hash((self.row_components, self.col_components,
+                     frozenset(self.cells.items())))
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_components), len(self.col_components))
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[Arrow, ...], ...], ...]:
+        return dense_grid(self.cells, self.row_components, self.col_components,
+                          lambda c, r: ())
 
 
 def _sum_sorted(terms) -> tuple[Arrow, ...]:
@@ -246,9 +261,6 @@ def _sum_sorted(terms) -> tuple[Arrow, ...]:
     if len(terms) <= 1:
         return terms
     return tuple(sorted(terms, key=render_arrow))
-
-
-_term_matrix = partial(sparse_matrix, make=TermMatrix, zero=lambda c, r: ())
 
 
 def _add_sums(x: tuple[Arrow, ...], y: tuple[Arrow, ...]) -> tuple[Arrow, ...]:
@@ -281,35 +293,35 @@ def _norm(t: Arrow) -> TermMatrix:
         case Arrow(_kw=str()):
             src, tgt = infer_type(t)
             gen = Id if isinstance(t, (Inj1, Inj2, Proj1, Proj2)) else type(t)
-            return _term_matrix(
+            return TermMatrix(
                 _components(tgt), _components(src),
                 {(i, j): (gen(*args),)
                  for i, j, args in generator_cells(t, _components)})
         case Compose(g, f):
             mg, mf = _norm(g), _norm(f)
-            return _term_matrix(mg.row_components, mf.col_components,
-                                grid_product(mg, mf, _sums(Compose), _add_sums))
+            return TermMatrix(mg.row_components, mf.col_components,
+                              grid_product(mg, mf, _sums(Compose), _add_sums))
         case Plus(l, r):
             ml, mr = _norm(l), _norm(r)
-            return _term_matrix(ml.row_components, ml.col_components,
-                                grid_sum(ml, mr, _add_sums))
+            return TermMatrix(ml.row_components, ml.col_components,
+                              grid_sum(ml, mr, _add_sums))
         case TensorMap(l, r):
             ml, mr = _norm(l), _norm(r)
-            return _term_matrix(
-                [Tensor(x, y) for x in ml.row_components for y in mr.row_components],
-                [Tensor(x, y) for x in ml.col_components for y in mr.col_components],
-                grid_kron(nonzero_cells(ml), mr, _sums(TensorMap)))
+            return TermMatrix(
+                tuple(Tensor(x, y) for x in ml.row_components for y in mr.row_components),
+                tuple(Tensor(x, y) for x in ml.col_components for y in mr.col_components),
+                grid_kron(ml.cells.items(), mr, _sums(TensorMap)))
         case OplusMap(l, r):
             ml, mr = _norm(l), _norm(r)
-            return _term_matrix(ml.row_components + mr.row_components,
-                                ml.col_components + mr.col_components,
-                                grid_dsum(ml, mr))
+            return TermMatrix(ml.row_components + mr.row_components,
+                              ml.col_components + mr.col_components,
+                              grid_dsum(ml, mr))
         case Whisker(a, g):
             mg, ca = _norm(g), _components(a)
-            return _term_matrix(
-                [Hom(x, y) for x in ca for y in mg.row_components],
-                [Hom(x, y) for x in ca for y in mg.col_components],
-                grid_kron([(k, k, (c,)) for k, c in enumerate(ca)], mg,
+            return TermMatrix(
+                tuple(Hom(x, y) for x in ca for y in mg.row_components),
+                tuple(Hom(x, y) for x in ca for y in mg.col_components),
+                grid_kron([((k, k), (c,)) for k, c in enumerate(ca)], mg,
                           _sums(Whisker)))
         case _:
             raise ModeViolation(f"normalize_syntactic cannot handle {t!r}")

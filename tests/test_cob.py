@@ -4,10 +4,11 @@ import random
 import pytest
 
 from cobeq.cob import (
-    Cobordism, MultiCob, cardinality, cobordism, dagger_cob, dual_cob, flip,
-    glue, identity_cob, identity_matrix, mat_add, mat_compose, mat_dagger,
-    mat_dsum, mat_hom, mat_tensor, matrix, matrix_to_json, matrix_to_text,
-    mc_add, multicob, singleton, tensor_cob, zero_matrix,
+    CobMatrix, Cobordism, MultiCob, cardinality, cobordism, dagger_cob,
+    dual_cob, empty_multicob, flip, glue, identity_cob, identity_matrix,
+    mat_add, mat_compose, mat_dagger, mat_dsum, mat_hom, mat_tensor, matrix,
+    matrix_to_json, matrix_to_text, mc_add, multicob, singleton, tensor_cob,
+    zero_matrix,
 )
 
 
@@ -242,6 +243,40 @@ def test_mat_add_neutral_and_shape_errors():
     assert mat_add(m, z) == m == mat_add(z, m)
     with pytest.raises(ValueError):
         mat_add(m, identity_matrix(("+",)))
+    # the same matrix from a dense grid with zero entries
+    grid = ((singleton(identity_cob("+")), empty_multicob("-", "+")),
+            (empty_multicob("+", "-"), singleton(identity_cob("-"))))
+    dense = matrix(("+", "-"), ("+", "-"), grid)
+    assert dense.entries == grid
+    assert dense == m == mat_add(dense, z)
+    assert set(dense.cells) == {(0, 0), (1, 1)} and not z.cells
+
+
+def test_matrix_checks_the_dense_grid():
+    wire, zero = singleton(identity_cob("+")), empty_multicob("+", "+")
+    for rows, cols, grid in [
+        (("+",), ("+",), ((wire, zero),)),            # a column too many
+        (("+", "+"), ("+",), ((wire,),)),             # a row too few
+        (("+",), ("+", "+"), ((wire,), (zero,))),     # the transposed shape
+        (("+",), ("+", "-"), ((wire, zero),)),        # zero entry: + -> + in a - column
+        (("+",), ("-",), ((wire,),)),                 # nonzero entry with wrong boundaries
+    ]:
+        with pytest.raises(ValueError):
+            matrix(rows, cols, grid)
+
+
+def test_constructor_checks_stored_cells_only():
+    wire = singleton(identity_cob("+"))
+    m = CobMatrix(("+", "+"), ("+",), {(1, 0): wire})
+    assert m.entries == ((empty_multicob("+", "+"),), (wire,))
+    for cells in [{(0, 0): empty_multicob("+", "+")},   # a stored zero
+                  {(2, 0): wire}, {(0, 1): wire},        # outside the shape
+                  {(-1, 0): wire},
+                  {(0, 0): singleton(identity_cob("-"))}]:  # wrong boundaries
+        with pytest.raises(ValueError):
+            CobMatrix(("+", "+"), ("+",), cells)
+    with pytest.raises(TypeError):
+        m.cells[0, 0] = wire
 
 
 def test_mat_compose_row_times_column():
@@ -379,6 +414,12 @@ def test_equal_is_structural():
                      ((singleton(cobordism("++", "++", [(0, 3), (1, 2)])),),))
     assert m == m
     assert m != swapped
+    # cells stored in another order: equal, with equal hashes
+    a, b = singleton(identity_cob("+")), singleton(identity_cob("-"))
+    x = CobMatrix(("+", "-"), ("+", "-"), {(0, 0): a, (1, 1): b})
+    y = CobMatrix(("+", "-"), ("+", "-"), {(1, 1): b, (0, 0): a})
+    assert x == y == identity_matrix(("+", "-")) and hash(x) == hash(y)
+    assert len({x, y, identity_matrix(("+", "-")), m, swapped}) == 3
 
 
 def test_zero_dimensional_matrices():

@@ -18,7 +18,7 @@ from cobeq.cob import (
     singleton,
 )
 from cobeq.generate import random_arrow, random_object
-from cobeq.interp import live_components
+from cobeq.interp import TermMatrix, live_components
 from cobeq.syntax import (
     Eps, Eta, Inj2, OplusMap, Proj1, node_objects, subarrows, subobjects,
 )
@@ -209,6 +209,11 @@ def test_normalize_identity_of_sum():
     tm = normalize_syntactic(Id(Oplus(P, Q)))
     assert tm.row_components == (P, Q) == tm.col_components
     assert tm.entries == (((Id(P),), ()), ((), (Id(Q),)))
+    # the nonzero cells alone, in any order, give an equal, equally hashed value
+    other = TermMatrix((P, Q), (P, Q), {(1, 1): (Id(Q),), (0, 0): (Id(P),)})
+    assert dict(tm.cells) == {(0, 0): (Id(P),), (1, 1): (Id(Q),)}
+    assert other == tm and hash(other) == hash(tm)
+    assert other != TermMatrix((P, Q), (P, Q), {(0, 0): (Id(P),)})
 
 
 def test_normalize_pure_term_is_itself():
