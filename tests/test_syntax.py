@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import hashlib
 import random
 import zlib
 
@@ -16,7 +18,7 @@ from cobeq.cli import main
 from cobeq.generate import random_arrow, random_object
 from cobeq.syntax import (
     arrow_children, is_reserved_word, node_objects, object_children,
-    rebuild_arrow,
+    rebuild_arrow, tokenize,
 )
 
 P, Q, R = Gen("p"), Gen("q"), Gen("r")
@@ -378,3 +380,222 @@ def test_reserved_words():
                  "decompose"]:
         assert is_reserved_word(word) and is_reserved_word(word + "'")
     assert not is_reserved_word("p") and not is_reserved_word("idx")
+
+
+# ---------------------------------------------------------------------------
+# tokenizer and parser outputs, recorded as exact values and digests.  These
+# gates are for rewrites of the front end, which must not change a token, a
+# term or an error text.  Re-record them only in a change that means to.
+
+
+def _tokens(text):
+    return [(t.kind, t.text, t.pos) for t in tokenize(text)]
+
+
+def _tokens_or_error(text):
+    try:
+        return _tokens(text)
+    except ParseError as e:
+        return str(e)
+
+
+TOKEN_EDGES = {
+    '':
+        [('eof', '', 0)],
+    '   \t\r\n  ':
+        [('eof', '', 8)],
+    'id[p]\t.\tsigma[p,q]':
+        [('ident', 'id', 0), ('op', '[', 2), ('ident', 'p', 3), ('op', ']', 4), ('op', '.', 6), ('ident', 'sigma', 8), ('op', '[', 13), ('ident', 'p', 14), ('op', ',', 15), ('ident', 'q', 16), ('op', ']', 17), ('eof', '', 18)],
+    'p\r\n(x)\rq':
+        [('ident', 'p', 0), ('op', '(x)', 3), ('ident', 'q', 7), ('eof', '', 8)],
+    'p\nq':
+        [('ident', 'p', 0), ('ident', 'q', 2), ('eof', '', 3)],
+    'id[p] # comment . sigma':
+        [('ident', 'id', 0), ('op', '[', 2), ('ident', 'p', 3), ('op', ']', 4), ('eof', '', 23)],
+    '# only a comment':
+        [('eof', '', 16)],
+    'id[p]#x\n. id[q]':
+        [('ident', 'id', 0), ('op', '[', 2), ('ident', 'p', 3), ('op', ']', 4), ('eof', '', 15)],
+    "f' . g'' . h'x":
+        [('ident', "f'", 0), ('op', '.', 3), ('ident', "g''", 5), ('op', '.', 9), ('ident', "h'", 11), ('ident', 'x', 13), ('eof', '', 14)],
+    "p''''":
+        [('ident', "p''''", 0), ('eof', '', 5)],
+    "p'q'":
+        [('ident', "p'", 0), ('ident', "q'", 2), ('eof', '', 4)],
+    "p'_":
+        [('ident', "p'", 0), ('ident', '_', 2), ('eof', '', 3)],
+    "'p":
+        'col 1: unexpected character "\'"',
+    'p -o q':
+        [('ident', 'p', 0), ('op', '-o', 2), ('ident', 'q', 5), ('eof', '', 6)],
+    'p->q':
+        [('ident', 'p', 0), ('op', '->', 1), ('ident', 'q', 3), ('eof', '', 4)],
+    'p-oq':
+        [('ident', 'p', 0), ('op', '-o', 1), ('ident', 'q', 3), ('eof', '', 4)],
+    'p - q':
+        "col 3: unexpected character '-'",
+    'p -> -o q':
+        [('ident', 'p', 0), ('op', '->', 2), ('op', '-o', 5), ('ident', 'q', 8), ('eof', '', 9)],
+    '(x)':
+        [('op', '(x)', 0), ('eof', '', 3)],
+    '( x )':
+        [('op', '(', 0), ('ident', 'x', 2), ('op', ')', 4), ('eof', '', 5)],
+    '(x':
+        [('op', '(', 0), ('ident', 'x', 1), ('eof', '', 2)],
+    '(xy)':
+        [('op', '(', 0), ('ident', 'xy', 1), ('op', ')', 3), ('eof', '', 4)],
+    '(p)(x)(q)':
+        [('op', '(', 0), ('ident', 'p', 1), ('op', ')', 2), ('op', '(x)', 3), ('op', '(', 6), ('ident', 'q', 7), ('op', ')', 8), ('eof', '', 9)],
+    '(+)':
+        [('op', '(+)', 0), ('eof', '', 3)],
+    '( + )':
+        [('op', '(', 0), ('op', '+', 2), ('op', ')', 4), ('eof', '', 5)],
+    '(+':
+        [('op', '(', 0), ('op', '+', 1), ('eof', '', 2)],
+    'p @ q':
+        "col 3: unexpected character '@'",
+    'p\xa0q':
+        "col 2: unexpected character '\\xa0'",
+    'p\u2003q':
+        "col 2: unexpected character '\\u2003'",
+    'p\x0bq':
+        "col 2: unexpected character '\\x0b'",
+    'é':
+        [('ident', 'é', 0), ('eof', '', 1)],
+    'é . p':
+        [('ident', 'é', 0), ('op', '.', 2), ('ident', 'p', 4), ('eof', '', 5)],
+    'pé':
+        [('ident', 'pé', 0), ('eof', '', 2)],
+    "Éa_b'":
+        [('ident', "Éa_b'", 0), ('eof', '', 5)],
+    "α'β":
+        [('ident', "α'", 0), ('ident', 'β', 2), ('eof', '', 3)],
+    '½':
+        "col 1: unexpected character '½'",
+    'p½':
+        [('ident', 'p½', 0), ('eof', '', 2)],
+    '²':
+        [('num', '²', 0), ('eof', '', 1)],
+    '1²3':
+        [('num', '1²3', 0), ('eof', '', 3)],
+    'x²':
+        [('ident', 'x²', 0), ('eof', '', 2)],
+    '٣':
+        [('num', '٣', 0), ('eof', '', 1)],
+    'p٣':
+        [('ident', 'p٣', 0), ('eof', '', 2)],
+    'ⅷ':
+        "col 1: unexpected character 'ⅷ'",
+    'pⅷ':
+        [('ident', 'pⅷ', 0), ('eof', '', 2)],
+    '007':
+        [('num', '007', 0), ('eof', '', 3)],
+    '0x1':
+        [('num', '0', 0), ('ident', 'x1', 1), ('eof', '', 3)],
+    '12ab':
+        [('num', '12', 0), ('ident', 'ab', 2), ('eof', '', 4)],
+    '_a_b':
+        [('ident', '_a_b', 0), ('eof', '', 4)],
+    'a_':
+        [('ident', 'a_', 0), ('eof', '', 2)],
+    '__':
+        [('ident', '__', 0), ('eof', '', 2)],
+    'id[p]=id[p]:x,y;z+w*':
+        [('ident', 'id', 0), ('op', '[', 2), ('ident', 'p', 3), ('op', ']', 4), ('op', '=', 5), ('ident', 'id', 6), ('op', '[', 8), ('ident', 'p', 9), ('op', ']', 10), ('op', ':', 11), ('ident', 'x', 12), ('op', ',', 13), ('ident', 'y', 14), ('op', ';', 15), ('ident', 'z', 16), ('op', '+', 17), ('ident', 'w', 18), ('op', '*', 19), ('eof', '', 20)],
+}
+
+
+def test_tokenize_edge_corpus():
+    for text, expected in TOKEN_EDGES.items():
+        assert _tokens_or_error(text) == expected, text
+
+
+#: names outside ASCII exercise the tokenizer's `str.isalpha`/`isdigit` rules
+TOKEN_GENS = ("p", "q", "é", "x²", "p½", "ab_1", "α'", "z٣")
+TOKEN_DIGEST = "77e892c13b5b0e4229717a179374e53662c9fa730bec380f6a0dc3c7c0da1ee1"
+
+
+def test_tokenize_digest_on_generated_terms():
+    rng = random.Random(zlib.crc32(b"tokens"))
+    spaces = [" ", " ", "", "\t", "\r\n", "  "]
+    digest = hashlib.sha256()
+    for mode in Mode:
+        for _ in range(150):
+            t = random_arrow(rng, mode, depth=4, obj_depth=3, gens=TOKEN_GENS)
+            text = "".join(c if c != " " else rng.choice(spaces)
+                           for c in render_arrow(t))
+            if rng.random() < 0.2:
+                text += " # " + render_arrow(t)
+            digest.update(repr(_tokens_or_error(text)).encode())
+    assert digest.hexdigest() == TOKEN_DIGEST
+
+
+_MUTANT_CHARS = "()[],.;+*-o>x#'@ \t0I pqé½²"
+_MUTANT_WORDS = ("id", "eta", "eps", "dg", "hom", "sigma", "alpha'", "zero",
+                 "p", "q (x) r", "p -o q", "p*", "I", "0", "f", "a", "(", ")")
+#: rewrites that keep the text parseable but may break its type or mode
+_MUTANT_SWAPS = (("p", "q"), ("q", "r"), ("(x)", "(+)"), ("(+)", "(x)"),
+                 ("eta", "eps"), ("eps", "eta"), ("inj1", "proj1"),
+                 ("proj2", "inj2"), ("-o", "(x)"), ("*", ""), (",", "*,"),
+                 ("]", "*]"), ("p]", "p,q]"), ("id", "dg(id"), ("I", "0"))
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(0, 6))
+        match rng.randrange(8):
+            case 0:
+                text = text[:i] + text[j:]
+            case 1:
+                text = text[:i] + rng.choice(_MUTANT_CHARS) + text[i:]
+            case 2:
+                text = text[:i] + rng.choice(_MUTANT_WORDS) + text[j:]
+            case 3:
+                text = text[:i] + text[j:] + text[i:j]
+            case _:
+                old, new = rng.choice(_MUTANT_SWAPS)
+                k = text.find(old, i)
+                k = text.find(old) if k < 0 else k
+                if k >= 0:
+                    text = text[:k] + new + text[k + len(old):]
+    return text
+
+
+def _parse_outcome(text, mode, defs):
+    """`ok` and the rendered term with its type, or the error class and
+    text."""
+    try:
+        if defs is None:
+            return "ok", render_object(parse_object(text, mode))
+        t = parse_arrow(text, mode, defs)
+    except (ParseError, ModeViolation, TypeMismatch) as e:
+        return type(e).__name__, str(e)
+    src, tgt = infer_type(t)
+    return "ok", f"{render_arrow(t)} : {render_object(src)} -> {render_object(tgt)}"
+
+
+PARSE_DIGEST = "c2933d139415bd6b6c7a3d95c4912585a54277965bfbbb0939e7d4fc6559d104"
+
+
+def test_parse_digest_on_mutated_terms():
+    """Mutated terms and objects parsed in every mode, with definitions
+    drawn in a random mode, so mode violations come from the text and from
+    the definitions."""
+    rng = random.Random(zlib.crc32(b"mutants"))
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    for _ in range(400):
+        gen_mode, def_mode = rng.choice(list(Mode)), rng.choice(list(Mode))
+        defs = {"f": random_arrow(rng, def_mode, depth=1, obj_depth=1),
+                "a": random_object(rng, def_mode, depth=2)}
+        cases = [(_mutate(rng, render_arrow(random_arrow(rng, gen_mode, 3))), defs),
+                 (_mutate(rng, render_object(random_object(rng, gen_mode, 3))), None)]
+        for text, d in cases:
+            for mode in Mode:
+                kind, out = _parse_outcome(text, mode, d)
+                kinds[kind] += 1
+                digest.update(f"{mode} {text!r} {kind} {out}\n".encode())
+    for kind in ("ok", "ParseError", "ModeViolation", "TypeMismatch"):
+        assert kinds[kind] >= 50, kinds
+    assert digest.hexdigest() == PARSE_DIGEST
