@@ -3,7 +3,10 @@ parsing, printing, type inference, and expansion of derived forms.
 
 Everything here is immutable and pure.  Three dialects are supported (see
 `Mode`); the trees themselves are mode-agnostic, legality is enforced by the
-parsers and by `check_mode` / `check_object_mode`.
+parsers and by `check_mode` / `check_object_mode`.  Each `parse_arrow` or
+`parse_object` call builds every distinct subterm once, through an intern
+table that lives as long as that parse: equal subterms of one result are
+one object, hashed as it is built.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ class _Node:
 
     The class name is part of the hash, so nodes of different kinds with
     equal fields (`Tensor(p,q)` and `Oplus(p,q)`) do not collide.  Writing
-    the slot is idempotent, so concurrent first calls are harmless.
+    the slot is idempotent, so concurrent first calls are harmless.  The
+    parser writes it as it builds each node, from the hashes of its fields.
     """
 
     __slots__ = ("_h",)
@@ -168,14 +172,6 @@ def subobjects(a: Obj) -> Iterator[Obj]:
         x = stack.pop()
         yield x
         stack.extend(reversed(object_children(x)))
-
-
-def check_object_mode(a: Obj, mode: Mode) -> None:
-    for sub in subobjects(a):
-        if isinstance(sub, Hom) and mode is not Mode.SMCB:
-            raise ModeViolation(f"'-o' not allowed in {mode} mode")
-        if isinstance(sub, Dual) and mode is Mode.SMCB:
-            raise ModeViolation("dual (*) not allowed in smcb mode")
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +384,35 @@ def subarrows(t: Arrow) -> Iterator[Arrow]:
         stack.extend(reversed(arrow_children(x)))
 
 
-def check_mode(t: Arrow, mode: Mode) -> None:
-    """Reject node kinds that are not part of the given dialect.
+#: dialect -> {node kind it rejects: the `ModeViolation` message}.  In dccb,
+#: `alpha'`, `lambda'`, unary `eta` and `inj1`/`inj2` are accepted as sugar
+#: (they are eliminated by `expand_derived`).
+_FORBIDDEN: dict[Mode, dict[type, str]] = {mode: {
+    kind: message.format(mode)
+    for kinds, modes, message in [
+        ((Hom,), "ccb dccb", "'-o' not allowed in {} mode"),
+        ((Dual,), "smcb", "dual (*) not allowed in {} mode"),
+        ((EtaC, EpsC), "smcb", "unary eta/eps not allowed in {} mode"),
+        ((Eta, Eps), "ccb dccb", "binary eta/eps not allowed in {} mode"),
+        ((Whisker, HomMap), "ccb dccb", "'-o' on arrows not allowed in {} mode"),
+        ((Dagger,), "smcb ccb", "dagger not allowed in {} mode"),
+    ] if str(mode) in modes.split() for kind in kinds} for mode in Mode}
 
-    In dccb, `alpha'`, `lambda'`, unary `eta` and `inj1`/`inj2` are accepted
-    as sugar (they are eliminated by `expand_derived`).
-    """
+
+def check_object_mode(a: Obj, mode: Mode) -> None:
+    forbidden = _FORBIDDEN[mode]
+    for sub in subobjects(a):
+        if type(sub) in forbidden:
+            raise ModeViolation(forbidden[type(sub)])
+
+
+def check_mode(t: Arrow, mode: Mode) -> None:
+    """Reject node kinds that are not part of the given dialect, naming the
+    first in pre-order, each arrow node before its objects."""
+    forbidden = _FORBIDDEN[mode]
     for sub in subarrows(t):
-        match sub:
-            case EtaC() | EpsC() if mode is Mode.SMCB:
-                raise ModeViolation(f"unary eta/eps not allowed in {mode} mode")
-            case Eta() | Eps() if mode is not Mode.SMCB:
-                raise ModeViolation(f"binary eta/eps not allowed in {mode} mode")
-            case Whisker() | HomMap() if mode is not Mode.SMCB:
-                raise ModeViolation(f"'-o' on arrows not allowed in {mode} mode")
-            case Dagger() if mode is not Mode.DCCB:
-                raise ModeViolation(f"dagger not allowed in {mode} mode")
+        if type(sub) in forbidden:
+            raise ModeViolation(forbidden[type(sub)])
         for a in node_objects(sub):
             check_object_mode(a, mode)
 
@@ -599,14 +608,13 @@ _RESERVED_BASE = frozenset({kw.rstrip("'") for kw in _KEYWORDS} | {
 # the alternatives left to right
 _PUNCT = ("(x)", "(+)", "->", "-o", ".", ";", "+", "*",
           "[", "]", "(", ")", ",", "=", ":")
-_PUNCT_RE = re.compile("|".join(map(re.escape, _PUNCT)))
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "num" | "op" | "eof"
-    text: str
-    pos: int
+# one token after skipping whitespace: an operator, an identifier that
+# starts in ASCII (`\w` is exactly `str.isalnum()` or `_`), or a comment,
+# which runs to the end of the input; `tokenize` reads anything else by the
+# `str` rules
+_TOKEN_RE = re.compile(r"[ \t\r\n]*(?:(?P<op>%s)|(?P<ident>[A-Za-z_]\w*'*)|(?P<comment>#))?"
+                       % "|".join(map(re.escape, _PUNCT)))
+_IDENT_TAIL_RE = re.compile(r"\w*'*")
 
 
 def is_reserved_word(name: str) -> bool:
@@ -614,37 +622,32 @@ def is_reserved_word(name: str) -> bool:
     return name.rstrip("'") in _RESERVED_BASE
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """`(kind, text, pos)` per token, kind "ident" | "num" | "op" | "eof"."""
+    toks = []
     i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
+    while True:
+        m = _TOKEN_RE.match(text, i)
+        kind, i = m.lastgroup, m.end()
+        if kind == "op" or kind == "ident":
+            toks.append((kind, m.group(kind), m.start(kind)))
             continue
-        if ch == "#":
+        if kind == "comment" or i == n:
             break
-        op = _PUNCT_RE.match(text, i)
-        if op:
-            toks.append(Token("op", op.group(), i))
-            i = op.end()
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            while j < n and text[j] == "'":
-                j += 1
-            toks.append(Token("ident", text[i:j], i))
-            i = j
+        # a digit, or a character outside ASCII: identifiers start with
+        # `str.isalpha` and numbers are runs of `str.isdigit`
+        ch = text[i]
+        if ch.isalpha():
+            kind, j = "ident", _IDENT_TAIL_RE.match(text, i + 1).end()
         elif ch.isdigit():
-            j = i + 1
+            kind, j = "num", i + 1
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(Token("num", text[i:j], i))
-            i = j
         else:
             raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append(Token("eof", "", n))
+        toks.append((kind, text[i:j], i))
+        i = j
+    toks.append(("eof", "", n))
     return toks
 
 
@@ -655,78 +658,98 @@ Defs = Mapping[str, "Obj | Arrow"]
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], defs: Defs):
+    """Recursive descent over the tokens of one text.
+
+    Every node is built by `make` through an intern table keyed by the
+    tuple that `_Node.__hash__` hashes, `(kind name, *fields)`: equal
+    subterms are one object, hashed once, from its fields' hashes.  The
+    table lives as long as the parser, which serves one parse.
+    """
+
+    def __init__(self, toks: list[tuple[str, str, int]], mode: Mode, defs: Defs):
         self.toks = toks
+        #: operator text of each token, None for the others
+        self.ops = [text if kind == "op" else None for kind, text, _ in toks]
         self.pos = 0
         self.defs = defs
+        self.forbidden = _FORBIDDEN[mode]
+        self.nodes: dict[tuple, _Node] = {}
+        #: whether the result needs the mode-check walk: a kind the mode
+        #: forbids was built, or a definition, perhaps from another mode,
+        #: was substituted
+        self.walk = False
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def make(self, cls: type, *fields) -> _Node:
+        key = (cls.__name__, *fields)
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*fields)
+            object.__setattr__(node, "_h", hash(key))
+            if cls in self.forbidden:
+                self.walk = True
+        return node
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == text
-
-    def expect_op(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.advance()
+    def expect_op(self, text: str) -> None:
+        if self.ops[self.pos] != text:
+            _, found, pos = self.toks[self.pos]
+            raise ParseError(f"expected {text!r}, found {found or 'end of input'!r}", pos)
+        self.pos += 1
 
     def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        kind, found, pos = self.toks[self.pos]
+        if kind != "eof":
+            raise ParseError(f"unexpected trailing input {found!r}", pos)
 
     # objects: -o (level 1, right assoc) < (+) (2) < (x) (3) < postfix * / atoms
 
     def object_expr(self, min_prec: int = 1) -> Obj:
         left = self.object_atom()
         while True:
-            if self.at_op("-o") and min_prec <= 1:
-                self.advance()
-                left = Hom(left, self.object_expr(1))
-            elif self.at_op("(+)") and min_prec <= 2:
-                self.advance()
-                left = Oplus(left, self.object_expr(3))
-            elif self.at_op("(x)") and min_prec <= 3:
-                self.advance()
-                left = Tensor(left, self.object_expr(4))
+            op = self.ops[self.pos]
+            if op == "-o" and min_prec <= 1:
+                self.pos += 1
+                left = self.make(Hom, left, self.object_expr(1))
+            elif op == "(+)" and min_prec <= 2:
+                self.pos += 1
+                left = self.make(Oplus, left, self.object_expr(3))
+            elif op == "(x)" and min_prec <= 3:
+                self.pos += 1
+                left = self.make(Tensor, left, self.object_expr(4))
             else:
                 return left
 
     def object_atom(self) -> Obj:
-        tok = self.advance()
+        kind, text, pos = self.advance()
         e: Obj
-        if tok.kind == "op" and tok.text == "(":
+        if kind == "op" and text == "(":
             e = self.object_expr(1)
             self.expect_op(")")
-        elif tok.kind == "num":
-            if tok.text != "0":
-                raise ParseError(f"unexpected number {tok.text!r} in object", tok.pos)
-            e = Zero()
-        elif tok.kind == "ident":
-            if tok.text == "I":
-                e = Unit()
-            elif tok.text in self.defs:
-                d = self.defs[tok.text]
-                if not isinstance(d, Obj):
-                    raise ParseError(f"{tok.text!r} names an arrow, not an object", tok.pos)
-                e = d
-            elif is_reserved_word(tok.text):
-                raise ParseError(f"reserved word {tok.text!r} cannot be an object", tok.pos)
+        elif kind == "num":
+            if text != "0":
+                raise ParseError(f"unexpected number {text!r} in object", pos)
+            e = self.make(Zero)
+        elif kind == "ident":
+            if text == "I":
+                e = self.make(Unit)
+            elif text in self.defs:
+                e = self.defs[text]
+                if not isinstance(e, Obj):
+                    raise ParseError(f"{text!r} names an arrow, not an object", pos)
+                self.walk = True
+            elif is_reserved_word(text):
+                raise ParseError(f"reserved word {text!r} cannot be an object", pos)
             else:
-                e = Gen(tok.text)
+                e = self.make(Gen, text)
         else:
-            raise ParseError(f"expected an object, found {tok.text or 'end of input'!r}", tok.pos)
-        while self.at_op("*"):
-            self.advance()
-            e = Dual(e)
+            raise ParseError(f"expected an object, found {text or 'end of input'!r}", pos)
+        while self.ops[self.pos] == "*":
+            self.pos += 1
+            e = self.make(Dual, e)
         return e
 
     # arrows: + (level 1) < . ; (2) < (x) (+) (3) < atoms
@@ -734,58 +757,58 @@ class _Parser:
     def arrow_expr(self, min_prec: int = 1) -> Arrow:
         left = self.arrow_atom()
         while True:
-            if self.at_op("+") and min_prec <= 1:
-                self.advance()
-                left = Plus(left, self.arrow_expr(2))
-            elif self.at_op(".") and min_prec <= 2:
-                self.advance()
-                left = Compose(left, self.arrow_expr(3))
-            elif self.at_op(";") and min_prec <= 2:
-                self.advance()
-                left = Compose(self.arrow_expr(3), left)
-            elif self.at_op("(x)") and min_prec <= 3:
-                self.advance()
-                left = TensorMap(left, self.arrow_expr(4))
-            elif self.at_op("(+)") and min_prec <= 3:
-                self.advance()
-                left = OplusMap(left, self.arrow_expr(4))
+            op = self.ops[self.pos]
+            if op == "+" and min_prec <= 1:
+                self.pos += 1
+                left = self.make(Plus, left, self.arrow_expr(2))
+            elif op == "." and min_prec <= 2:
+                self.pos += 1
+                left = self.make(Compose, left, self.arrow_expr(3))
+            elif op == ";" and min_prec <= 2:
+                self.pos += 1
+                left = self.make(Compose, self.arrow_expr(3), left)
+            elif op == "(x)" and min_prec <= 3:
+                self.pos += 1
+                left = self.make(TensorMap, left, self.arrow_expr(4))
+            elif op == "(+)" and min_prec <= 3:
+                self.pos += 1
+                left = self.make(OplusMap, left, self.arrow_expr(4))
             else:
                 return left
 
     def _bracket_objects(self, low: int, high: int, what: str) -> list[Obj]:
         self.expect_op("[")
         objs = [self.object_expr(1)]
-        while self.at_op(","):
-            self.advance()
+        while self.ops[self.pos] == ",":
+            self.pos += 1
             objs.append(self.object_expr(1))
         self.expect_op("]")
         if not low <= len(objs) <= high:
             raise ParseError(f"{what} takes {low if low == high else f'{low} or {high}'}"
-                             f" object arguments, got {len(objs)}", self.peek().pos)
+                             f" object arguments, got {len(objs)}", self.toks[self.pos][2])
         return objs
 
     def arrow_atom(self) -> Arrow:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        op = self.ops[self.pos]
+        if op == "(":
+            self.pos += 1
             e = self.arrow_expr(1)
             self.expect_op(")")
             return e
-        if tok.kind == "op" and tok.text == "[":
-            self.advance()
+        if op == "[":
+            self.pos += 1
             a = self.object_expr(2)  # parenthesize '-o' heads
             self.expect_op("-o")
             g = self.arrow_expr(1)
             self.expect_op("]")
-            return Whisker(a, g)
-        if tok.kind != "ident":
-            raise ParseError(f"expected an arrow, found {tok.text or 'end of input'!r}", tok.pos)
-        self.advance()
-        name = tok.text
+            return self.make(Whisker, a, g)
+        kind, name, pos = self.advance()
+        if kind != "ident":
+            raise ParseError(f"expected an arrow, found {name or 'end of input'!r}", pos)
         arities = _KEYWORDS.get(name)
         if arities is not None:
             objs = self._bracket_objects(min(arities), max(arities), name)
-            return arities[len(objs)](*objs)
+            return self.make(arities[len(objs)], *objs)
         match name:
             case "hom":
                 self.expect_op("(")
@@ -793,36 +816,39 @@ class _Parser:
                 self.expect_op(",")
                 g = self.arrow_expr(1)
                 self.expect_op(")")
-                return HomMap(f, g)
+                return self.make(HomMap, f, g)
             case "dg":
                 self.expect_op("(")
                 f = self.arrow_expr(1)
                 self.expect_op(")")
-                return Dagger(f)
+                return self.make(Dagger, f)
             case _:
                 if name in self.defs:
                     d = self.defs[name]
                     if not isinstance(d, Arrow):
-                        raise ParseError(f"{name!r} names an object, not an arrow", tok.pos)
+                        raise ParseError(f"{name!r} names an object, not an arrow", pos)
+                    self.walk = True
                     return d
-                raise ParseError(f"unknown arrow {name!r}", tok.pos)
+                raise ParseError(f"unknown arrow {name!r}", pos)
 
 
 def parse_object(text: str, mode: Mode = Mode.SMCB, defs: Defs | None = None) -> Obj:
     """Parse an object formula, rejecting constructs illegal for `mode`."""
-    p = _Parser(tokenize(text), defs or {})
+    p = _Parser(tokenize(text), mode, defs or {})
     e = p.object_expr(1)
     p.expect_eof()
-    check_object_mode(e, mode)
+    if p.walk:
+        check_object_mode(e, mode)
     return e
 
 
 def parse_arrow(text: str, mode: Mode = Mode.SMCB, defs: Defs | None = None) -> Arrow:
     """Parse an arrow term; the result is mode-legal and well-typed."""
-    p = _Parser(tokenize(text), defs or {})
+    p = _Parser(tokenize(text), mode, defs or {})
     t = p.arrow_expr(1)
     p.expect_eof()
-    check_mode(t, mode)
+    if p.walk:
+        check_mode(t, mode)
     infer_type(t)
     return t
 

@@ -254,7 +254,7 @@ def test_too_deep_input_exits_3_in_every_command(tmp_path, command, inline):
     import subprocess
     import sys
 
-    expr = (" (x) ".join(["p"] * 15000) if command == "decompose"
+    expr = ("(" * 15000 + "p" + ")" * 15000 if command == "decompose"
             else " . ".join(["id[p]"] * 15000))
     if inline:
         arg, where = expr, ""
@@ -265,3 +265,17 @@ def test_too_deep_input_exits_3_in_every_command(tmp_path, command, inline):
                        capture_output=True, text=True)
     assert r.returncode == 3 and r.stdout == ""
     assert r.stderr == f"error: {where}term nests too deeply\n"
+
+
+def test_decompose_of_a_long_tensor_product():
+    """A 15 000-factor product is parsed with every node hashed as it is
+    built, so hashing it in `decompose`'s cache needs no deep recursion."""
+    import subprocess
+    import sys
+
+    expr = " (x) ".join(["p"] * 15000)
+    r = subprocess.run([sys.executable, "-m", "cobeq.cli", "decompose", expr],
+                       capture_output=True, text=True)
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout == (f"object: {expr}\ncomponents: 1\n[0] {expr}\n"
+                        f"    inj: id[{expr}]\n    proj: id[{expr}]\n")

@@ -18,7 +18,7 @@ from cobeq.cli import main
 from cobeq.generate import random_arrow, random_object
 from cobeq.syntax import (
     arrow_children, is_reserved_word, node_objects, object_children,
-    rebuild_arrow, tokenize,
+    rebuild_arrow, subarrows, subobjects, tokenize,
 )
 
 P, Q, R = Gen("p"), Gen("q"), Gen("r")
@@ -250,6 +250,41 @@ def test_separately_built_terms_are_equal_with_equal_hashes():
     assert {t1: 1}[built] == 1
 
 
+def test_equal_subterms_of_one_parse_are_one_object():
+    t = parse_arrow("id[p (x) q] . id[p (x) q] + id[p (x) q] . id[p (x) q]")
+    assert t.left is t.right and t.left.after is t.left.before
+    assert t.left.after.obj is infer_type(t)[0]
+    a = parse_object("(p (x) p*) (+) (p (x) p*)", Mode.CCB)
+    assert a.left is a.right and a.left.right.inner is a.left.left
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_parsed_terms_equal_built_terms_with_equal_hashes(mode):
+    rng = random.Random(zlib.crc32(b"hash " + mode.value.encode()))
+    for _ in range(100):
+        built = random_arrow(rng, mode, depth=4, obj_depth=3)
+        parsed = parse_arrow(render_arrow(built), mode)
+        assert parsed == built
+        for p, b in zip(subarrows(parsed), subarrows(built)):
+            assert hash(p) == hash(b)
+            for x, y in zip(node_objects(p), node_objects(b)):
+                assert [hash(o) for o in subobjects(x)] == \
+                    [hash(o) for o in subobjects(y)]
+
+
+def test_definitions_from_another_mode_are_rejected():
+    eta, hom = parse_arrow("eta[p,q]"), parse_object("p -o q")
+    with pytest.raises(ModeViolation, match="binary eta/eps not allowed in ccb"):
+        parse_arrow("id[q (x) p] . f", Mode.CCB, {"f": eta})
+    with pytest.raises(ModeViolation, match="'-o' not allowed in dccb"):
+        parse_object("p (+) a", Mode.DCCB, {"a": hom})
+    with pytest.raises(ModeViolation, match="'-o' not allowed in ccb"):
+        parse_arrow("id[a]", Mode.CCB, {"a": hom})
+    dagger = parse_arrow("dg(sigma[p,q])", Mode.DCCB)
+    with pytest.raises(ModeViolation, match="dagger not allowed in smcb"):
+        parse_arrow("g . id[q (x) p]", Mode.SMCB, {"g": dagger})
+
+
 def test_same_fields_different_kinds_differ():
     f, g = Id(P), Id(Q)
     for x, y in [(Tensor(P, Q), Oplus(P, Q)), (Tensor(P, Q), Hom(P, Q)),
@@ -388,13 +423,9 @@ def test_reserved_words():
 # term or an error text.  Re-record them only in a change that means to.
 
 
-def _tokens(text):
-    return [(t.kind, t.text, t.pos) for t in tokenize(text)]
-
-
 def _tokens_or_error(text):
     try:
-        return _tokens(text)
+        return tokenize(text)
     except ParseError as e:
         return str(e)
 
