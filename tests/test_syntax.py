@@ -225,14 +225,30 @@ def test_dual_map_typing():
 # round trip
 
 
+def _hashes(t):
+    """The hash of every subterm of `t` and of every subformula of its
+    object annotations, in pre-order."""
+    out = []
+    for sub in subarrows(t):
+        out.append(hash(sub))
+        for a in node_objects(sub):
+            out += map(hash, subobjects(a))
+    return out
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_parse_render_round_trip(mode):
+    """The parser sets each node's hash as it builds it; the hashes agree
+    with those of the same terms built by constructors."""
     rng = random.Random(zlib.crc32(mode.value.encode()))
     for _ in range(120):
         t = random_arrow(rng, mode, depth=5, obj_depth=3)
-        assert parse_arrow(render_arrow(t), mode) == t
+        parsed = parse_arrow(render_arrow(t), mode)
+        assert parsed == t and _hashes(parsed) == _hashes(t)
         a = random_object(rng, mode, depth=5)
-        assert parse_object(render_object(a), mode) == a
+        parsed = parse_object(render_object(a), mode)
+        assert parsed == a
+        assert list(map(hash, subobjects(parsed))) == list(map(hash, subobjects(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +272,6 @@ def test_equal_subterms_of_one_parse_are_one_object():
     assert t.left.after.obj is infer_type(t)[0]
     a = parse_object("(p (x) p*) (+) (p (x) p*)", Mode.CCB)
     assert a.left is a.right and a.left.right.inner is a.left.left
-
-
-@pytest.mark.parametrize("mode", list(Mode))
-def test_parsed_terms_equal_built_terms_with_equal_hashes(mode):
-    rng = random.Random(zlib.crc32(b"hash " + mode.value.encode()))
-    for _ in range(100):
-        built = random_arrow(rng, mode, depth=4, obj_depth=3)
-        parsed = parse_arrow(render_arrow(built), mode)
-        assert parsed == built
-        for p, b in zip(subarrows(parsed), subarrows(built)):
-            assert hash(p) == hash(b)
-            for x, y in zip(node_objects(p), node_objects(b)):
-                assert [hash(o) for o in subobjects(x)] == \
-                    [hash(o) for o in subobjects(y)]
 
 
 def test_definitions_from_another_mode_are_rejected():
