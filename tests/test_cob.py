@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -204,6 +205,42 @@ def test_tensor_cob():
         assert fg.circles == f.circles + g.circles
         assert fg.source == f.source + g.source
         assert dagger_cob(fg) == tensor_cob(dagger_cob(f), dagger_cob(g))
+
+
+def same_charge(rng, b, longest=6):
+    """A random boundary with the +/- imbalance of b, so that a cobordism
+    joins the two, of at most `longest` points or as few as the imbalance
+    allows."""
+    d = b.count("+") - b.count("-")
+    n = rng.choice(range(abs(d), max(longest, abs(d)) + 1, 2))
+    signs = ["+" if d > 0 else "-"] * abs(d) + ["+", "-"] * ((n - abs(d)) // 2)
+    rng.shuffle(signs)
+    return "".join(signs)
+
+
+#: sha256 of the single-cobordism operations on the corpus of `test_cob_output_digest`
+COB_DIGEST = "85dc0cac94362460a73f6ed57ef93668f1149e1e17ff22fe5451f56fc353864c"
+
+
+def test_cob_output_digest():
+    """The pairs and circles of glue, tensor_cob, dagger_cob and dual_cob on
+    seeded cobordisms between boundaries of 0-6 points, pinned by one sha256.
+    Every other draw narrows the outer boundaries of a glue to at most two
+    points, so wide shared boundaries close loops; input circles run 0-3."""
+    rng = random.Random(1117)
+    digest = hashlib.sha256()
+    loops = 0
+    for k in range(600):
+        b = random_boundary(rng, rng.randint(0, 6))
+        longest = 2 if k % 2 else 6
+        f = random_cobordism(rng, same_charge(rng, b, longest), b, 3)
+        g = random_cobordism(rng, b, same_charge(rng, b, longest), 3)
+        gf = glue(g, f)
+        loops += gf.circles > f.circles + g.circles
+        for c in (gf, tensor_cob(f, g), tensor_cob(g, f), dagger_cob(f), dual_cob(g)):
+            digest.update(repr((c.pairs, c.circles)).encode())
+    assert loops >= 100
+    assert digest.hexdigest() == COB_DIGEST
 
 
 # ---------------------------------------------------------------------------
