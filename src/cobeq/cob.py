@@ -1,8 +1,9 @@
 """Computational model of oriented 1-dimensional cobordisms.
 
 A boundary is a string over '+'/'-'.  A cobordism between two boundaries is a
-perfect matching on the combined endpoints plus a count of closed components;
-gluing composes matchings by path following.  Multisets of cobordisms form the
+perfect matching on the combined endpoints plus a count of closed components.
+Gluing numbers the points of both cobordisms on one flat index and composes
+the matchings by path following.  Multisets of cobordisms form the
 hom-sets of the enriched model, and typed matrices of such multisets form the
 biproduct completion in which every diagram equality is decided; a matrix
 stores only its nonzero entries.
@@ -30,7 +31,12 @@ def flip(b: Boundary) -> Boundary:
 
 
 def _canonical_pairs(pairs) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(tuple(sorted(p)) for p in pairs))
+    return tuple(sorted((i, j) if i < j else (j, i) for i, j in pairs))
+
+
+def _moved(pairs, to) -> list[tuple[int, int]]:
+    """The pairs with every point p renamed to[p]."""
+    return [(to[i], to[j]) for i, j in pairs]
 
 
 @dataclass(frozen=True)
@@ -88,78 +94,49 @@ def identity_cob(b: Boundary) -> Cobordism:
 def glue(g: Cobordism, f: Cobordism) -> Cobordism:
     """The composite g after f, following paths through the shared boundary.
 
-    Closed paths confined to the shared boundary become circles.
+    Points are numbered on one flat index: f's source, the shared points,
+    then g's target.  A path from an outer point alternates between f and g
+    until it leaves at another outer point; the shared points no such path
+    visits lie on closed paths, and each closed path becomes a circle.
     """
     if f.target != g.source:
         raise ValueError(f"cannot glue: {f.target!r} vs {g.source!r}")
-    na, nb, nc = len(f.source), len(f.target), len(g.target)
-    f_partner: dict[int, int] = {}
-    for i, j in f.pairs:
-        f_partner[i], f_partner[j] = j, i
-    g_partner: dict[int, int] = {}
-    for i, j in g.pairs:
-        g_partner[i], g_partner[j] = j, i
-
-    # labels: ('a', i) outer source, ('m', k) shared, ('c', j) outer target
-    def f_step(label):
-        p = f_partner[label[1] if label[0] == "a" else na + label[1]]
-        return ("a", p) if p < na else ("m", p - na)
-
-    def g_step(label):
-        p = g_partner[nb + label[1] if label[0] == "c" else label[1]]
-        return ("m", p) if p < nb else ("c", p - nb)
-
-    def flat(label):
-        return label[1] if label[0] == "a" else na + label[1]
-
-    new_pairs = []
-    done = set()
-    seen_middle = set()
-    for start in [("a", i) for i in range(na)] + [("c", j) for j in range(nc)]:
-        if start in done:
+    na, nb = len(f.source), len(f.target)
+    n = na + nb + len(g.target)
+    f_to, g_to = [0] * n, [0] * n
+    for to, moved in ((f_to, f.pairs), (g_to, _moved(g.pairs, range(na, n)))):
+        for i, j in moved:
+            to[i], to[j] = j, i
+    shared = range(na, na + nb)
+    seen = [False] * n
+    pairs, circles = [], f.circles + g.circles
+    # outer points in index order first, so each start is its pair's smaller end
+    for p in (*range(na), *range(na + nb, n), *shared):
+        if seen[p]:
             continue
-        cur = start
-        in_f = start[0] == "a"
-        while True:
-            cur = f_step(cur) if in_f else g_step(cur)
-            if cur[0] != "m":
-                break
-            seen_middle.add(cur[1])
+        in_f = p < na + nb
+        q = (f_to if in_f else g_to)[p]
+        while q != p and q in shared:
+            seen[q] = True
             in_f = not in_f
-        done.add(start)
-        done.add(cur)
-        new_pairs.append((flat(start), flat(cur)))
-
-    circles = f.circles + g.circles
-    for k in range(nb):
-        if k in seen_middle:
-            continue
-        circles += 1
-        cur, in_f = ("m", k), True
-        while True:
-            seen_middle.add(cur[1])
-            cur = f_step(cur) if in_f else g_step(cur)
-            in_f = not in_f
-            if cur == ("m", k) and in_f:
-                break
-
-    return cobordism(f.source, g.target, new_pairs, circles)
+            q = (f_to if in_f else g_to)[q]
+        seen[q] = True
+        if q == p:
+            circles += 1
+        else:
+            pairs.append((p, q))
+    # g's target points close the gap the shared points leave
+    return cobordism(f.source, g.target,
+                     _moved(pairs, (*range(na + nb), *range(na, n - nb))), circles)
 
 
 def tensor_cob(f: Cobordism, g: Cobordism) -> Cobordism:
     """Side-by-side disjoint union; circle counts add."""
     nsf, ntf = len(f.source), len(f.target)
-    nsg = len(g.source)
-    ns = nsf + nsg
-
-    def remap_f(i):
-        return i if i < nsf else ns + (i - nsf)
-
-    def remap_g(i):
-        return nsf + i if i < nsg else ns + ntf + (i - nsg)
-
-    pairs = [(remap_f(i), remap_f(j)) for i, j in f.pairs]
-    pairs += [(remap_g(i), remap_g(j)) for i, j in g.pairs]
+    ns = nsf + len(g.source)
+    n = ns + ntf + len(g.target)
+    pairs = _moved(f.pairs, (*range(nsf), *range(ns, ns + ntf)))
+    pairs += _moved(g.pairs, (*range(nsf, ns), *range(ns + ntf, n)))
     return cobordism(f.source + g.source, f.target + g.target, pairs,
                      f.circles + g.circles)
 
@@ -167,11 +144,7 @@ def tensor_cob(f: Cobordism, g: Cobordism) -> Cobordism:
 def _swap_roles(f: Cobordism) -> tuple[tuple[int, int], ...]:
     # old source point i becomes new target point i, and vice versa
     ns, nt = len(f.source), len(f.target)
-
-    def remap(i):
-        return nt + i if i < ns else i - ns
-
-    return _canonical_pairs((remap(i), remap(j)) for i, j in f.pairs)
+    return _canonical_pairs(_moved(f.pairs, (*range(nt, nt + ns), *range(nt))))
 
 
 def dagger_cob(f: Cobordism) -> Cobordism:

@@ -535,9 +535,13 @@ def expand_derived(t: Arrow, mode: Mode = Mode.SMCB) -> Arrow:
     """
     kids = arrow_children(t)
     if kids:
-        new = tuple(expand_derived(k, mode) for k in kids)
+        # a plain loop: a generator expression or (on 3.11) a list
+        # comprehension adds a second Python frame per tree level
+        new = []
+        for k in kids:
+            new.append(expand_derived(k, mode))
         if any(n is not k for n, k in zip(new, kids)):
-            t = rebuild_arrow(t, new)
+            t = rebuild_arrow(t, tuple(new))
     match t:
         case HomMap(f, g):
             a, a1 = infer_type(f)

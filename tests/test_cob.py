@@ -207,6 +207,17 @@ def test_tensor_cob():
         assert dagger_cob(fg) == tensor_cob(dagger_cob(f), dagger_cob(g))
 
 
+def test_interchange_dagger_and_dual_laws():
+    rng = random.Random(12)
+    for _ in range(500):
+        f1, f2 = random_chain(rng, 2)
+        g1, g2 = random_chain(rng, 2)
+        assert glue(tensor_cob(f2, g2), tensor_cob(f1, g1)) == \
+            tensor_cob(glue(f2, f1), glue(g2, g1))
+        assert dagger_cob(glue(f2, f1)) == glue(dagger_cob(f1), dagger_cob(f2))
+        assert dual_cob(glue(f2, f1)) == glue(dual_cob(f1), dual_cob(f2))
+
+
 def same_charge(rng, b, longest=6):
     """A random boundary with the +/- imbalance of b, so that a cobordism
     joins the two, of at most `longest` points or as few as the imbalance

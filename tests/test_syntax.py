@@ -204,6 +204,14 @@ def test_expand_dccb_sugar():
     assert expand_derived(EtaC(P), Mode.CCB) == EtaC(P)
 
 
+def test_expand_long_constructed_chain_under_default_limit():
+    # one Python frame per tree level: 700 links fit the default limit of 1000
+    t = Id(P)
+    for _ in range(700):
+        t = Compose(Id(P), t)
+    assert expand_derived(t) is t
+
+
 def test_expand_fixpoint_and_mode_closure():
     rng = random.Random(9)
     for mode in Mode:
