@@ -14,6 +14,7 @@ Exit codes for `check`: 0 all equal, 1 some not-equal, 2 some inconclusive,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -449,11 +450,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # iterated expansion and evaluation recurse over term trees
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 30000))
+    # the evaluation caches only grow during a call, so a full collection
+    # walks every cached matrix and frees nothing: skip it, keep the young ones
+    thresholds = gc.get_threshold()
+    gc.set_threshold(*thresholds[:2], 1 << 30)
     try:
         return args.func(args)
     except (LangError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

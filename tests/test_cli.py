@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -52,6 +53,17 @@ def test_check_error_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "check", path)
     assert code == 3
     assert "bad.cob:1" in err
+
+
+def test_full_collections_skipped_during_a_call_only(tmp_path, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr("cobeq.cli.cmd_check",
+                        lambda args: seen.append(gc.get_threshold()) or 0)
+    before = gc.get_threshold()
+    path = write(tmp_path, "q.cob", "check id[p] = id[p]\n")
+    assert run(capsys, "check", path) == (0, "", "")
+    assert seen == [(*before[:2], 1 << 30)]
+    assert gc.get_threshold() == before
 
 
 def test_check_non_utf8_file_exits_3(tmp_path, capsys):
