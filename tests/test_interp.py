@@ -17,6 +17,7 @@ from cobeq.cob import (
     cobordism, empty_multicob, identity_cob, mc_add, mc_dual, multicob,
     singleton,
 )
+from cobeq.cli import matrix_to_dot
 from cobeq.generate import random_arrow, random_object
 from cobeq.interp import TermMatrix, live_components
 from cobeq.syntax import (
@@ -131,6 +132,16 @@ def test_expand_derived_is_semantically_transparent(mode):
     assert (changed > 0) == (mode is not Mode.CCB)
 
 
+def _output_corpus(mode):
+    """The seeded terms of `test_output_bytes` and `test_dot_bytes`: 200
+    draws, less those whose expansion exceeds the cell cap."""
+    rng = random.Random(zlib.crc32(b"output-bytes " + mode.value.encode()))
+    for _ in range(200):
+        t = random_arrow(rng, mode, depth=3, obj_depth=2)
+        if _max_cells(expand_derived(t, mode)) <= EXPANDED_CELL_CAP:
+            yield t
+
+
 #: sha256 of the serialized images of the seeded terms in `test_output_bytes`
 OUTPUT_DIGESTS = {
     Mode.SMCB: "4b4b64b784f2f36a656a2a47dda57ad9437ea0692f2839c2beb358ed80c99c3b",
@@ -149,13 +160,9 @@ def test_output_bytes(mode):
     must not change a byte of output.  Re-record the digests only in a
     change that means to change output, and say so in CHANGES.md.
     """
-    rng = random.Random(zlib.crc32(b"output-bytes " + mode.value.encode()))
     digest = hashlib.sha256()
     checked = 0
-    for _ in range(200):
-        t = random_arrow(rng, mode, depth=3, obj_depth=2)
-        if _max_cells(expand_derived(t, mode)) > EXPANDED_CELL_CAP:
-            continue
+    for t in _output_corpus(mode):
         m = interpret_arrow(t)
         blobs = [matrix_to_text(m), json.dumps(matrix_to_json(m))]
         if mode is Mode.SMCB:
@@ -166,6 +173,24 @@ def test_output_bytes(mode):
         checked += 1
     assert checked >= 190
     assert digest.hexdigest() == OUTPUT_DIGESTS[mode]
+
+
+#: sha256 of the DOT renderings of the seeded terms in `test_dot_bytes`
+DOT_DIGESTS = {
+    Mode.SMCB: "0a86cca86d5ed2aebae5d3d52dd6854db59a86b80a235df687cd2da6335177d9",
+    Mode.CCB: "20d1e86d4de51a058f2d7b4b0251297eadb93d1d0bb6d89fb494af01493ce894",
+    Mode.DCCB: "18d3e1d6cfc1633691370392ae5cbd7437d96318b1e935f150ba3a3fa6a63ca9",
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_dot_bytes(mode):
+    """`cli.matrix_to_dot` of the images of the `test_output_bytes` corpus,
+    pinned by one sha256 per mode, zero entries included."""
+    digest = hashlib.sha256()
+    for t in _output_corpus(mode):
+        digest.update(matrix_to_dot(interpret_arrow(t)).encode())
+    assert digest.hexdigest() == DOT_DIGESTS[mode]
 
 
 def test_dual_map_agrees_with_entrywise_dual():
