@@ -8,8 +8,8 @@ from .biproduct import (
     oplus_free, valuation,
 )
 from .cob import (
-    Boundary, CobMatrix, Cobordism, MultiCob, cardinality, cobordism,
-    dagger_cob, dual_cob, empty_multicob, flip, glue, identity_cob,
+    ZERO, Boundary, CobMatrix, Cobordism, MultiCob, cardinality, cobordism,
+    dagger_cob, dual_cob, flip, glue, identity_cob,
     identity_matrix, mat_add, mat_compose, mat_dagger, mat_dsum, mat_hom,
     mat_tensor, matrix_to_json, matrix_to_text, multicob, singleton,
     tensor_cob, zero_matrix,

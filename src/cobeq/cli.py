@@ -210,7 +210,8 @@ def matrix_to_dot(m: CobMatrix) -> str:
     for i, row in enumerate(m.entries):
         for j, e in enumerate(row):
             lines = [f"digraph entry_{i}_{j} {{", "  rankdir=TB;",
-                     f'  graph [label="entry ({i},{j}): [{e.source}] -> [{e.target}]"];']
+                     f'  graph [label="entry ({i},{j}): [{m.col_types[j]}] -> '
+                     f'[{m.row_types[i]}]"];']
             if not e.elements:
                 lines.append('  zero [shape=plaintext, label="zero"];')
             for k, c in enumerate(e.elements):

@@ -5,8 +5,9 @@ perfect matching on the combined endpoints plus a count of closed components.
 Gluing numbers the points of both cobordisms on one flat index and composes
 the matchings by path following.  Multisets of cobordisms form the
 hom-sets of the enriched model, and typed matrices of such multisets form the
-biproduct completion in which every diagram equality is decided; a matrix
-stores only its nonzero entries.
+biproduct completion in which every diagram equality is decided.  A matrix
+stores only its nonzero entries, and its row and column types are the only
+record of each entry's boundaries.
 
 All values are immutable with a canonical internal order, so `==` is the
 semantic equality and every operation is safe under concurrency.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import ClassVar
 from types import MappingProxyType
 
 Boundary = str
@@ -57,12 +58,17 @@ class Cobordism:
         ns = len(self.source)
         n = ns + len(self.target)
         seen = [False] * n
-        for i, j in self.pairs:
+        prev = (-1, -1)
+        for p in self.pairs:
+            i, j = p
             if not (0 <= i < j < n):
                 raise ValueError(f"bad pair ({i},{j}) for {n} points")
             if seen[i] or seen[j]:
                 raise ValueError(f"point matched twice in {self.pairs}")
+            if p < prev:
+                raise ValueError("pairs not in canonical order")
             seen[i] = seen[j] = True
+            prev = p
             si = self.source[i] if i < ns else self.target[i - ns]
             sj = self.source[j] if j < ns else self.target[j - ns]
             same_side = (i < ns) == (j < ns)
@@ -72,8 +78,6 @@ class Cobordism:
                 raise ValueError(f"cross-side pair ({i},{j}) must join equal signs")
         if not all(seen):
             raise ValueError("matching is not perfect")
-        if self.pairs != _canonical_pairs(self.pairs):
-            raise ValueError("pairs not in canonical order")
         if self.circles < 0:
             raise ValueError("negative circle count")
 
@@ -166,96 +170,73 @@ def dual_cob(f: Cobordism) -> Cobordism:
 class MultiCob:
     """A finite multiset of cobordisms sharing source and target.
 
-    Elements are kept sorted so equality and hashing are structural; the
-    empty multiset is the zero arrow.
+    Elements are kept sorted so equality and hashing are structural.  The
+    boundaries are those of the elements; the empty multiset `ZERO` is the
+    zero arrow between any two boundaries, which the matrix cell holding it
+    fixes.
     """
 
-    source: Boundary
-    target: Boundary
     elements: tuple[Cobordism, ...]
 
     def __post_init__(self):
-        for c in self.elements:
-            if c.source != self.source or c.target != self.target:
+        for a, b in zip(self.elements, self.elements[1:]):
+            if a.source != b.source or a.target != b.target:
                 raise ValueError("multiset element with mismatched boundaries")
-        keys = [c.sort_key() for c in self.elements]
-        if keys != sorted(keys):
-            raise ValueError("multiset elements not in canonical order")
+            if a.sort_key() > b.sort_key():
+                raise ValueError("multiset elements not in canonical order")
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
-def multicob(source: Boundary, target: Boundary, elements) -> MultiCob:
-    return MultiCob(source, target,
-                    tuple(sorted(elements, key=Cobordism.sort_key)))
+ZERO = MultiCob(())
 
 
-@lru_cache(maxsize=None)
-def empty_multicob(source: Boundary, target: Boundary) -> MultiCob:
-    return MultiCob(source, target, ())
+def multicob(elements) -> MultiCob:
+    return MultiCob(tuple(sorted(elements, key=Cobordism.sort_key)))
 
 
 def singleton(c: Cobordism) -> MultiCob:
-    return MultiCob(c.source, c.target, (c,))
+    return MultiCob((c,))
 
 
 def mc_add(x: MultiCob, y: MultiCob) -> MultiCob:
-    if (x.source, x.target) != (y.source, y.target):
-        raise ValueError("multiset union needs equal boundaries")
-    return multicob(x.source, x.target, x.elements + y.elements)
+    return multicob(x.elements + y.elements)
 
 
 def mc_compose(g: MultiCob, f: MultiCob) -> MultiCob:
-    return multicob(f.source, g.target,
-                    (glue(cg, cf) for cg in g.elements for cf in f.elements))
+    return multicob(glue(cg, cf) for cg in g.elements for cf in f.elements)
 
 
 def mc_tensor(x: MultiCob, y: MultiCob) -> MultiCob:
-    return multicob(x.source + y.source, x.target + y.target,
-                    (tensor_cob(cx, cy) for cx in x.elements for cy in y.elements))
+    return multicob(tensor_cob(cx, cy) for cx in x.elements for cy in y.elements)
 
 
 def mc_dagger(x: MultiCob) -> MultiCob:
-    return multicob(x.target, x.source, (dagger_cob(c) for c in x.elements))
+    return multicob(dagger_cob(c) for c in x.elements)
 
 
 def mc_dual(x: MultiCob) -> MultiCob:
-    return multicob(flip(x.target), flip(x.source),
-                    (dual_cob(c) for c in x.elements))
+    return multicob(dual_cob(c) for c in x.elements)
 
 
 # ---------------------------------------------------------------------------
 # Typed matrices
 
 
-def dense_grid(cells, rows, cols, zero) -> tuple:
-    """The grid of a cell dict, with zero(col, row) in every other cell."""
-    grid = [[zero(c, r) for c in cols] for r in rows]
-    for (i, j), e in cells.items():
-        grid[i][j] = e
-    return tuple(map(tuple, grid))
-
-
 @dataclass(frozen=True)
-class CobMatrix:
-    """A matrix of multisets that stores only its nonzero entries: `cells`
-    maps (i, j) to the nonempty multiset from col_types[j] to row_types[i].
-    `entries` is the dense grid, with empty multisets in the other cells.
-    Zero rows or columns are allowed."""
+class Matrix:
+    """A matrix that stores only its nonzero entries: `cells` maps (i, j) to
+    the entry from col_types[j] to row_types[i].  `entries` is the dense
+    grid, with the subclass's `zero` in the other cells.  Zero rows or
+    columns are allowed."""
 
-    row_types: tuple[Boundary, ...]
-    col_types: tuple[Boundary, ...]
-    cells: Mapping[tuple[int, int], MultiCob]
+    row_types: tuple
+    col_types: tuple
+    cells: Mapping[tuple[int, int], object]
+    zero: ClassVar = None
 
     def __post_init__(self):
-        m, n = self.shape
-        for (i, j), e in self.cells.items():
-            if not (0 <= i < m and 0 <= j < n and e.elements and
-                    (e.source, e.target) == (self.col_types[j], self.row_types[i])):
-                raise ValueError(f"cell ({i},{j}) of a {m}x{n} matrix is out of "
-                                 f"range, zero or has the wrong boundaries "
-                                 f"{e.source!r} -> {e.target!r}")
         object.__setattr__(self, "cells", MappingProxyType(self.cells))
 
     def __hash__(self):
@@ -266,8 +247,29 @@ class CobMatrix:
         return (len(self.row_types), len(self.col_types))
 
     @property
-    def entries(self) -> tuple[tuple[MultiCob, ...], ...]:
-        return dense_grid(self.cells, self.row_types, self.col_types, empty_multicob)
+    def entries(self) -> tuple[tuple, ...]:
+        grid = [[self.zero] * len(self.col_types) for _ in self.row_types]
+        for (i, j), e in self.cells.items():
+            grid[i][j] = e
+        return tuple(map(tuple, grid))
+
+
+class CobMatrix(Matrix):
+    """A matrix of multisets: cell (i, j) is a nonempty multiset of
+    cobordisms from col_types[j] to row_types[i], and `ZERO` fills the
+    other entries."""
+
+    zero = ZERO
+
+    def __post_init__(self):
+        m, n = self.shape
+        for (i, j), e in self.cells.items():
+            if not (0 <= i < m and 0 <= j < n and e.elements and
+                    (e.elements[0].source, e.elements[0].target)
+                    == (self.col_types[j], self.row_types[i])):
+                raise ValueError(f"cell ({i},{j}) of a {m}x{n} matrix is out of "
+                                 f"range, zero or has the wrong boundaries")
+        super().__post_init__()
 
 
 def matrix(row_types, col_types, entries) -> CobMatrix:
@@ -277,15 +279,14 @@ def matrix(row_types, col_types, entries) -> CobMatrix:
                   {(i, j): e for i, row in enumerate(grid)
                    for j, e in enumerate(row) if e.elements})
     if m.entries != grid:
-        raise ValueError("grid shape or zero-entry boundaries do not fit the types")
+        raise ValueError("grid shape does not fit the types")
     return m
 
 
 # ---------------------------------------------------------------------------
 # Grid routines, shared with the term matrices of `interp.normalize_syntactic`.
-# A matrix is any value with a `cells` dict of its nonzero entries and a
-# `shape`; each routine visits only those cells and returns the nonzero cells
-# of its result as a dict (i, j) -> entry.
+# Each routine visits only the stored cells of its `Matrix` operands and
+# returns the nonzero cells of its result as a dict (i, j) -> entry.
 
 
 def grid_product(g, f, mul, add) -> dict:

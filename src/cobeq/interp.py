@@ -16,15 +16,12 @@ entry by entry.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from types import MappingProxyType
 
 from .biproduct import Valuation, decompose, valuation
 from .cob import (
-    Boundary, CobMatrix, Cobordism, MultiCob, dense_grid, flip, grid_dsum,
+    Boundary, CobMatrix, Cobordism, Matrix, MultiCob, flip, grid_dsum,
     grid_kron, grid_product, grid_sum, identity_cob, identity_matrix,
     mat_add, mat_compose, mat_dagger, mat_dsum, mat_hom, mat_tensor,
     singleton,
@@ -225,35 +222,16 @@ def entry_oracle(t: Arrow, i: int, j: int) -> MultiCob:
 # Syntactic matrix normalization (smcb only)
 
 
-@dataclass(frozen=True)
-class TermMatrix:
+class TermMatrix(Matrix):
     """A matrix of formal sums of direct-sum-free terms.
 
     Rows and columns are indexed by the components of the target and source.
-    Only nonzero entries are stored: `cells` maps (i, j) to a nonempty sum,
-    and `entries` is the dense grid with the empty sum () in the other cells.
-    No entry mentions (+) on objects or arrows, injections or projections.
+    Each stored cell is a nonempty sum, and the empty sum () fills the other
+    entries.  No entry mentions (+) on objects or arrows, injections or
+    projections.
     """
 
-    row_components: tuple[Obj, ...]
-    col_components: tuple[Obj, ...]
-    cells: Mapping[tuple[int, int], tuple[Arrow, ...]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cells", MappingProxyType(self.cells))
-
-    def __hash__(self):
-        return hash((self.row_components, self.col_components,
-                     frozenset(self.cells.items())))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row_components), len(self.col_components))
-
-    @property
-    def entries(self) -> tuple[tuple[tuple[Arrow, ...], ...], ...]:
-        return dense_grid(self.cells, self.row_components, self.col_components,
-                          lambda c, r: ())
+    zero = ()
 
 
 def _sum_sorted(terms) -> tuple[Arrow, ...]:
@@ -299,28 +277,28 @@ def _norm(t: Arrow) -> TermMatrix:
                  for i, j, args in generator_cells(t, _components)})
         case Compose(g, f):
             mg, mf = _norm(g), _norm(f)
-            return TermMatrix(mg.row_components, mf.col_components,
+            return TermMatrix(mg.row_types, mf.col_types,
                               grid_product(mg, mf, _sums(Compose), _add_sums))
         case Plus(l, r):
             ml, mr = _norm(l), _norm(r)
-            return TermMatrix(ml.row_components, ml.col_components,
+            return TermMatrix(ml.row_types, ml.col_types,
                               grid_sum(ml, mr, _add_sums))
         case TensorMap(l, r):
             ml, mr = _norm(l), _norm(r)
             return TermMatrix(
-                tuple(Tensor(x, y) for x in ml.row_components for y in mr.row_components),
-                tuple(Tensor(x, y) for x in ml.col_components for y in mr.col_components),
+                tuple(Tensor(x, y) for x in ml.row_types for y in mr.row_types),
+                tuple(Tensor(x, y) for x in ml.col_types for y in mr.col_types),
                 grid_kron(ml.cells.items(), mr, _sums(TensorMap)))
         case OplusMap(l, r):
             ml, mr = _norm(l), _norm(r)
-            return TermMatrix(ml.row_components + mr.row_components,
-                              ml.col_components + mr.col_components,
+            return TermMatrix(ml.row_types + mr.row_types,
+                              ml.col_types + mr.col_types,
                               grid_dsum(ml, mr))
         case Whisker(a, g):
             mg, ca = _norm(g), _components(a)
             return TermMatrix(
-                tuple(Hom(x, y) for x in ca for y in mg.row_components),
-                tuple(Hom(x, y) for x in ca for y in mg.col_components),
+                tuple(Hom(x, y) for x in ca for y in mg.row_types),
+                tuple(Hom(x, y) for x in ca for y in mg.col_types),
                 grid_kron([((k, k), (c,)) for k, c in enumerate(ca)], mg,
                           _sums(Whisker)))
         case _:
@@ -333,8 +311,8 @@ def _norm(t: Arrow) -> TermMatrix:
 
 def term_matrix_to_text(m: TermMatrix) -> str:
     lines = [f"termmatrix {m.shape[0]}x{m.shape[1]}"]
-    lines.append("rows: " + ", ".join(render_object(c) for c in m.row_components))
-    lines.append("cols: " + ", ".join(render_object(c) for c in m.col_components))
+    lines.append("rows: " + ", ".join(render_object(c) for c in m.row_types))
+    lines.append("cols: " + ", ".join(render_object(c) for c in m.col_types))
     for i, row in enumerate(m.entries):
         for j, terms in enumerate(row):
             body = " + ".join(render_arrow(s) for s in terms) if terms else "0"
@@ -345,8 +323,8 @@ def term_matrix_to_text(m: TermMatrix) -> str:
 def term_matrix_to_json(m: TermMatrix) -> dict:
     return {
         "shape": list(m.shape),
-        "row_components": [render_object(c) for c in m.row_components],
-        "col_components": [render_object(c) for c in m.col_components],
+        "row_components": [render_object(c) for c in m.row_types],
+        "col_components": [render_object(c) for c in m.col_types],
         "entries": [[[render_arrow(s) for s in terms] for terms in row]
                     for row in m.entries],
     }

@@ -20,8 +20,8 @@ from cobeq import (
 )
 from cobeq.biproduct import Valuation, valuation
 from cobeq.cob import (
-    cardinality, cobordism, empty_multicob, matrix, mat_hom, mat_tensor,
-    mc_add, multicob,
+    ZERO, cardinality, cobordism, matrix, mat_hom, mat_tensor, mc_add,
+    multicob,
 )
 from cobeq.cli import main
 from cobeq.decide import CORE_SMCB_FAMILIES
@@ -148,9 +148,9 @@ def test_acceptance_5_purity_and_reinterpretation():
         t = random_arrow(rng, Mode.SMCB, depth=3, obj_depth=2, gens=GENS_PQ)
         tm = normalize_syntactic(t)
         m = interpret_arrow(t)
-        live_r = [k for k, c in enumerate(tm.row_components)
+        live_r = [k for k, c in enumerate(tm.row_types)
                   if valuation(c) is not Valuation.ZERO_VALUED]
-        live_c = [k for k, c in enumerate(tm.col_components)
+        live_c = [k for k, c in enumerate(tm.col_types)
                   if valuation(c) is not Valuation.ZERO_VALUED]
         for i, row in enumerate(tm.entries):
             for j, summands in enumerate(row):
@@ -158,7 +158,7 @@ def test_acceptance_5_purity_and_reinterpretation():
                     assert _forbidden(s) is None, render_arrow(s)
                 if i in live_r and j in live_c:
                     gi, gj = live_r.index(i), live_c.index(j)
-                    acc = empty_multicob(m.col_types[gj], m.row_types[gi])
+                    acc = ZERO
                     for s in summands:
                         acc = mc_add(acc, interpret_arrow(s).entries[0][0])
                     assert acc == m.entries[gi][gj]
@@ -274,7 +274,7 @@ def test_acceptance_7_worked_examples():
     py = [[17, 19], [23, 29]]
 
     def closed(k):
-        return multicob("", "", [cobordism("", "", [], 1)] * k)
+        return multicob([cobordism("", "", [], 1)] * k)
 
     x = matrix(("", ""), ("", "", ""),
                [[closed(px[i][j]) for j in range(3)] for i in range(2)])

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from cobeq.cob import (
-    CobMatrix, Cobordism, MultiCob, cardinality, cobordism, dagger_cob,
-    dual_cob, empty_multicob, flip, glue, identity_cob, identity_matrix,
+    ZERO, CobMatrix, Cobordism, MultiCob, cardinality, cobordism, dagger_cob,
+    dual_cob, flip, glue, identity_cob, identity_matrix,
     mat_add, mat_compose, mat_dagger, mat_dsum, mat_hom, mat_tensor, matrix,
     matrix_to_json, matrix_to_text, mc_add, multicob, singleton, tensor_cob,
     zero_matrix,
@@ -77,6 +77,8 @@ def test_validation_rejects_bad_matchings():
         Cobordism("+", "+", (), 0)  # not perfect
     with pytest.raises(ValueError):
         cobordism("+", "+", [(0, 1)], -1)  # negative circles
+    with pytest.raises(ValueError, match="canonical order"):
+        Cobordism("++", "++", ((1, 3), (0, 2)))  # valid but for its order
 
 
 def test_glue_identity_laws():
@@ -269,12 +271,12 @@ def test_multiset_multiplicity_matters():
 def test_multicob_canonical_order_enforced():
     f = cobordism("++--", "", [(0, 2), (1, 3)])
     g = cobordism("++--", "", [(0, 3), (1, 2)])
-    m = multicob("++--", "", [g, f])
+    m = multicob([g, f])
     assert m.elements == tuple(sorted([f, g], key=Cobordism.sort_key))
     with pytest.raises(ValueError):
-        MultiCob("++--", "", (g, f) if g.sort_key() > f.sort_key() else (f, g))
+        MultiCob((g, f) if g.sort_key() > f.sort_key() else (f, g))
     with pytest.raises(ValueError):
-        multicob("+", "+", [identity_cob("-")])
+        multicob([identity_cob("+"), identity_cob("-")])
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +284,8 @@ def test_multicob_canonical_order_enforced():
 
 
 def _one_by_one(entry):
-    return matrix((entry.target,), (entry.source,), ((entry,),))
+    c = entry.elements[0]
+    return matrix((c.target,), (c.source,), ((entry,),))
 
 
 def test_mat_add_neutral_and_shape_errors():
@@ -292,8 +295,8 @@ def test_mat_add_neutral_and_shape_errors():
     with pytest.raises(ValueError):
         mat_add(m, identity_matrix(("+",)))
     # the same matrix from a dense grid with zero entries
-    grid = ((singleton(identity_cob("+")), empty_multicob("-", "+")),
-            (empty_multicob("+", "-"), singleton(identity_cob("-"))))
+    grid = ((singleton(identity_cob("+")), ZERO),
+            (ZERO, singleton(identity_cob("-"))))
     dense = matrix(("+", "-"), ("+", "-"), grid)
     assert dense.entries == grid
     assert dense == m == mat_add(dense, z)
@@ -301,12 +304,11 @@ def test_mat_add_neutral_and_shape_errors():
 
 
 def test_matrix_checks_the_dense_grid():
-    wire, zero = singleton(identity_cob("+")), empty_multicob("+", "+")
+    wire = singleton(identity_cob("+"))
     for rows, cols, grid in [
-        (("+",), ("+",), ((wire, zero),)),            # a column too many
+        (("+",), ("+",), ((wire, ZERO),)),            # a column too many
         (("+", "+"), ("+",), ((wire,),)),             # a row too few
-        (("+",), ("+", "+"), ((wire,), (zero,))),     # the transposed shape
-        (("+",), ("+", "-"), ((wire, zero),)),        # zero entry: + -> + in a - column
+        (("+",), ("+", "+"), ((wire,), (ZERO,))),     # the transposed shape
         (("+",), ("-",), ((wire,),)),                 # nonzero entry with wrong boundaries
     ]:
         with pytest.raises(ValueError):
@@ -316,8 +318,8 @@ def test_matrix_checks_the_dense_grid():
 def test_constructor_checks_stored_cells_only():
     wire = singleton(identity_cob("+"))
     m = CobMatrix(("+", "+"), ("+",), {(1, 0): wire})
-    assert m.entries == ((empty_multicob("+", "+"),), (wire,))
-    for cells in [{(0, 0): empty_multicob("+", "+")},   # a stored zero
+    assert m.entries == ((ZERO,), (wire,))
+    for cells in [{(0, 0): ZERO},                        # a stored zero
                   {(2, 0): wire}, {(0, 1): wire},        # outside the shape
                   {(-1, 0): wire},
                   {(0, 0): singleton(identity_cob("-"))}]:  # wrong boundaries
@@ -337,7 +339,7 @@ def test_mat_compose_row_times_column():
     col = matrix(("", ""), ("",), ((x,), (y,)))
     out = mat_compose(row, col)
     assert out.shape == (1, 1)
-    assert out.entries[0][0] == multicob("", "", [
+    assert out.entries[0][0] == multicob([
         cobordism("", "", [], 4), cobordism("", "", [], 6)])
 
 
@@ -347,12 +349,12 @@ def test_mat_compose_type_mismatch():
 
 
 def naive_mat_compose(g, f):
-    from cobeq.cob import empty_multicob, mc_compose
+    from cobeq.cob import mc_compose
     rows = []
     for i, r in enumerate(g.row_types):
         row = []
         for j, c in enumerate(f.col_types):
-            acc = empty_multicob(c, r)
+            acc = ZERO
             for k in range(len(g.col_types)):
                 acc = mc_add(acc, mc_compose(g.entries[i][k], f.entries[k][j]))
             row.append(acc)
@@ -380,7 +382,7 @@ def test_kronecker_prime_layout():
     primes_y = [[17, 19], [23, 29]]
 
     def closed(k):
-        return multicob("", "", [cobordism("", "", [], 1)] * k)
+        return multicob([cobordism("", "", [], 1)] * k)
 
     x = matrix(("", ""), ("", "", ""),
                [[closed(primes_x[i][j]) for j in range(3)] for i in range(2)])

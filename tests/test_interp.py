@@ -14,8 +14,7 @@ from cobeq import (
     term_matrix_to_json, term_matrix_to_text,
 )
 from cobeq.cob import (
-    cobordism, empty_multicob, identity_cob, mc_add, mc_dual, multicob,
-    singleton,
+    ZERO, cobordism, identity_cob, mc_add, mc_dual, multicob, singleton,
 )
 from cobeq.cli import matrix_to_dot
 from cobeq.generate import random_arrow, random_object
@@ -69,7 +68,7 @@ def test_generator_images():
     m = interpret_arrow(Inj1(P, Q))
     assert m.shape == (2, 1)
     assert m.entries[0][0] == singleton(identity_cob("+"))
-    assert m.entries[1][0] == empty_multicob("+", "+")
+    assert m.entries[1][0] == ZERO
 
     m2 = interpret_arrow(Plus(Id(P), Id(P)))
     assert m2.entries[0][0] == mc_add(singleton(identity_cob("+")),
@@ -88,7 +87,7 @@ def test_compact_loop_has_one_circle():
     t = Compose(Compose(EpsC(P), Sigma(Dual(P), P)), EtaC(P))
     m = interpret_arrow(t, Mode.CCB)
     assert m.shape == (1, 1)
-    assert m.entries[0][0] == multicob("", "", [cobordism("", "", [], 1)])
+    assert m.entries[0][0] == multicob([cobordism("", "", [], 1)])
 
 
 def test_interpret_checks_mode_when_given():
@@ -221,7 +220,7 @@ def test_functoriality_against_entry_oracle():
 def test_entry_oracle_examples():
     t = Id(Oplus(P, Q))
     assert entry_oracle(t, 0, 0) == singleton(identity_cob("+"))
-    assert entry_oracle(t, 1, 0) == empty_multicob("+", "+")
+    assert entry_oracle(t, 1, 0) == ZERO
     with pytest.raises(IndexError):
         entry_oracle(t, 2, 0)
 
@@ -232,7 +231,7 @@ def test_entry_oracle_examples():
 
 def test_normalize_identity_of_sum():
     tm = normalize_syntactic(Id(Oplus(P, Q)))
-    assert tm.row_components == (P, Q) == tm.col_components
+    assert tm.row_types == (P, Q) == tm.col_types
     assert tm.entries == (((Id(P),), ()), ((), (Id(Q),)))
     # the nonzero cells alone, in any order, give an equal, equally hashed value
     other = TermMatrix((P, Q), (P, Q), {(1, 1): (Id(Q),), (0, 0): (Id(P),)})
@@ -286,22 +285,22 @@ def test_normalize_purity_and_soundness():
     for t in terms:
         tm = normalize_syntactic(t)
         src, tgt = infer_type(t)
-        assert tm.col_components == decompose(src).components
-        assert tm.row_components == decompose(tgt).components
+        assert tm.col_types == decompose(src).components
+        assert tm.row_types == decompose(tgt).components
         m = interpret_arrow(t)
-        live_r = [k for k, c in enumerate(tm.row_components)
+        live_r = [k for k, c in enumerate(tm.row_types)
                   if valuation(c) is not Valuation.ZERO_VALUED]
-        live_c = [k for k, c in enumerate(tm.col_components)
+        live_c = [k for k, c in enumerate(tm.col_types)
                   if valuation(c) is not Valuation.ZERO_VALUED]
         for i, row in enumerate(tm.entries):
             for j, summands in enumerate(row):
                 for s in summands:
                     assert _forbidden_nodes(s) is None, s
-                    assert infer_type(s) == (tm.col_components[j],
-                                             tm.row_components[i])
+                    assert infer_type(s) == (tm.col_types[j],
+                                             tm.row_types[i])
                 if i in live_r and j in live_c:
                     gi, gj = live_r.index(i), live_c.index(j)
-                    acc = empty_multicob(m.col_types[gj], m.row_types[gi])
+                    acc = ZERO
                     for s in summands:
                         part = interpret_arrow(s)
                         assert part.shape == (1, 1)
@@ -312,7 +311,7 @@ def test_normalize_purity_and_soundness():
 def test_normalize_whisker_blocks():
     t = Whisker(Oplus(P, Q), Id(R))
     tm = normalize_syntactic(t)
-    assert tm.row_components == (Hom(P, R), Hom(Q, R))
+    assert tm.row_types == (Hom(P, R), Hom(Q, R))
     assert tm.entries[0][0] == (Whisker(P, Id(R)),)
     assert tm.entries[0][1] == ()
     assert tm.entries[1][1] == (Whisker(Q, Id(R)),)
