@@ -275,7 +275,7 @@ def test_multicob_canonical_order_enforced():
     assert m.elements == tuple(sorted([f, g], key=Cobordism.sort_key))
     with pytest.raises(ValueError):
         MultiCob((g, f) if g.sort_key() > f.sort_key() else (f, g))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mismatched boundaries"):
         multicob([identity_cob("+"), identity_cob("-")])
 
 
