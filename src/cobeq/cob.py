@@ -11,6 +11,13 @@ record of each entry's boundaries.
 
 All values are immutable with a canonical internal order, so `==` is the
 semantic equality and every operation is safe under concurrency.
+
+Values are checked where they enter: the constructors `Cobordism`,
+`MultiCob` and `CobMatrix`, and `cobordism`, `multicob` and `matrix`.  The
+operations of the algebra build their results from checked operands through
+`_trusted`, which runs no check; the tests rebuild such results through the
+constructors.  The model is strictly unital, so composing a multiset with
+the singleton of an identity cobordism returns the other operand unchanged.
 """
 
 from __future__ import annotations
@@ -40,7 +47,17 @@ def _moved(pairs, to) -> list[tuple[int, int]]:
     return [(to[i], to[j]) for i, j in pairs]
 
 
-@dataclass(frozen=True)
+def _trusted(cls, *fields):
+    """A `cls` value with its fields set, in declaration order, to `fields`,
+    without running `__post_init__`: for values the algebra builds from
+    values already checked, which its laws keep valid."""
+    x = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        object.__setattr__(x, name, value)
+    return x
+
+
+@dataclass(frozen=True, slots=True)
 class Cobordism:
     """A boundary matching with a closed-component count.
 
@@ -90,9 +107,17 @@ def cobordism(source: Boundary, target: Boundary, pairs, circles: int = 0) -> Co
     return Cobordism(source, target, _canonical_pairs(pairs), circles)
 
 
+def _identity_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(zip(range(n), range(n, 2 * n)))
+
+
 def identity_cob(b: Boundary) -> Cobordism:
-    n = len(b)
-    return Cobordism(b, b, tuple((i, n + i) for i in range(n)))
+    return _trusted(Cobordism, b, b, _identity_pairs(len(b)), 0)
+
+
+def _check_glue(g: Cobordism, f: Cobordism) -> None:
+    if f.target != g.source:
+        raise ValueError(f"cannot glue: {f.target!r} vs {g.source!r}")
 
 
 def glue(g: Cobordism, f: Cobordism) -> Cobordism:
@@ -103,8 +128,7 @@ def glue(g: Cobordism, f: Cobordism) -> Cobordism:
     until it leaves at another outer point; the shared points no such path
     visits lie on closed paths, and each closed path becomes a circle.
     """
-    if f.target != g.source:
-        raise ValueError(f"cannot glue: {f.target!r} vs {g.source!r}")
+    _check_glue(g, f)
     na, nb = len(f.source), len(f.target)
     n = na + nb + len(g.target)
     f_to, g_to = [0] * n, [0] * n
@@ -130,8 +154,8 @@ def glue(g: Cobordism, f: Cobordism) -> Cobordism:
         else:
             pairs.append((p, q))
     # g's target points close the gap the shared points leave
-    return cobordism(f.source, g.target,
-                     _moved(pairs, (*range(na + nb), *range(na, n - nb))), circles)
+    return _trusted(Cobordism, f.source, g.target, _canonical_pairs(
+        _moved(pairs, (*range(na + nb), *range(na, n - nb)))), circles)
 
 
 def tensor_cob(f: Cobordism, g: Cobordism) -> Cobordism:
@@ -141,8 +165,8 @@ def tensor_cob(f: Cobordism, g: Cobordism) -> Cobordism:
     n = ns + ntf + len(g.target)
     pairs = _moved(f.pairs, (*range(nsf), *range(ns, ns + ntf)))
     pairs += _moved(g.pairs, (*range(nsf, ns), *range(ns + ntf, n)))
-    return cobordism(f.source + g.source, f.target + g.target, pairs,
-                     f.circles + g.circles)
+    return _trusted(Cobordism, f.source + g.source, f.target + g.target,
+                    _canonical_pairs(pairs), f.circles + g.circles)
 
 
 def _swap_roles(f: Cobordism) -> tuple[tuple[int, int], ...]:
@@ -153,20 +177,21 @@ def _swap_roles(f: Cobordism) -> tuple[tuple[int, int], ...]:
 
 def dagger_cob(f: Cobordism) -> Cobordism:
     """Orientation reversal: swaps source and target, signs unchanged."""
-    return Cobordism(f.target, f.source, _swap_roles(f), f.circles)
+    return _trusted(Cobordism, f.target, f.source, _swap_roles(f), f.circles)
 
 
 def dual_cob(f: Cobordism) -> Cobordism:
     """The dual flip(target) -> flip(source): same manifold, every boundary
     point reread with the opposite orientation on the other side."""
-    return Cobordism(flip(f.target), flip(f.source), _swap_roles(f), f.circles)
+    return _trusted(Cobordism, flip(f.target), flip(f.source), _swap_roles(f),
+                    f.circles)
 
 
 # ---------------------------------------------------------------------------
 # Multisets of cobordisms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiCob:
     """A finite multiset of cobordisms sharing source and target.
 
@@ -192,32 +217,60 @@ class MultiCob:
 ZERO = MultiCob(())
 
 
+def _sorted(elements) -> tuple[Cobordism, ...]:
+    return tuple(sorted(elements, key=Cobordism.sort_key))
+
+
 def multicob(elements) -> MultiCob:
-    return MultiCob(tuple(sorted(elements, key=Cobordism.sort_key)))
+    return MultiCob(_sorted(elements))
 
 
 def singleton(c: Cobordism) -> MultiCob:
-    return MultiCob((c,))
+    return _trusted(MultiCob, (c,))
 
 
 def mc_add(x: MultiCob, y: MultiCob) -> MultiCob:
-    return multicob(x.elements + y.elements)
+    if x.elements and y.elements:
+        a, b = x.elements[0], y.elements[0]
+        if a.source != b.source or a.target != b.target:
+            raise ValueError("multiset element with mismatched boundaries")
+    return _trusted(MultiCob, _sorted(x.elements + y.elements))
+
+
+def _is_unit(x: MultiCob) -> bool:
+    """Whether x is the singleton of an identity cobordism; O(1) unless x is
+    a singleton without circles whose source and target are equal."""
+    if len(x.elements) != 1:
+        return False
+    c = x.elements[0]
+    return (not c.circles and c.source == c.target
+            and c.pairs == _identity_pairs(len(c.source)))
 
 
 def mc_compose(g: MultiCob, f: MultiCob) -> MultiCob:
-    return multicob(glue(cg, cf) for cg in g.elements for cf in f.elements)
+    """Every composite of an element of g after an element of f.  By the unit
+    laws, an identity operand gives back the other one."""
+    if not (g.elements and f.elements):
+        return ZERO
+    for unit, other in ((g, f), (f, g)):
+        if _is_unit(unit):
+            _check_glue(g.elements[0], f.elements[0])
+            return other
+    return _trusted(MultiCob, _sorted(
+        glue(cg, cf) for cg in g.elements for cf in f.elements))
 
 
 def mc_tensor(x: MultiCob, y: MultiCob) -> MultiCob:
-    return multicob(tensor_cob(cx, cy) for cx in x.elements for cy in y.elements)
+    return _trusted(MultiCob, _sorted(
+        tensor_cob(cx, cy) for cx in x.elements for cy in y.elements))
 
 
 def mc_dagger(x: MultiCob) -> MultiCob:
-    return multicob(dagger_cob(c) for c in x.elements)
+    return _trusted(MultiCob, _sorted(dagger_cob(c) for c in x.elements))
 
 
 def mc_dual(x: MultiCob) -> MultiCob:
-    return multicob(dual_cob(c) for c in x.elements)
+    return _trusted(MultiCob, _sorted(dual_cob(c) for c in x.elements))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +323,11 @@ class CobMatrix(Matrix):
                 raise ValueError(f"cell ({i},{j}) of a {m}x{n} matrix is out of "
                                  f"range, zero or has the wrong boundaries")
         super().__post_init__()
+
+
+def _cob_matrix(row_types: tuple, col_types: tuple, cells: dict) -> CobMatrix:
+    """The matrix of cells the algebra built, unchecked (see `_trusted`)."""
+    return _trusted(CobMatrix, row_types, col_types, MappingProxyType(cells))
 
 
 def matrix(row_types, col_types, entries) -> CobMatrix:
@@ -332,52 +390,53 @@ def grid_dsum(x, y) -> dict:
 
 
 def zero_matrix(row_types, col_types) -> CobMatrix:
-    return CobMatrix(tuple(row_types), tuple(col_types), {})
+    return _cob_matrix(tuple(row_types), tuple(col_types), {})
 
 
 def identity_matrix(types) -> CobMatrix:
     types = tuple(types)
-    return CobMatrix(types, types, {(i, i): singleton(identity_cob(t))
-                                    for i, t in enumerate(types)})
+    return _cob_matrix(types, types, {(i, i): singleton(identity_cob(t))
+                                      for i, t in enumerate(types)})
 
 
 def mat_compose(g: CobMatrix, f: CobMatrix) -> CobMatrix:
     if g.col_types != f.row_types:
         raise ValueError(f"cannot compose {g.shape} after {f.shape}: "
                          f"middle types {g.col_types!r} vs {f.row_types!r}")
-    return CobMatrix(g.row_types, f.col_types,
-                     grid_product(g, f, mc_compose, mc_add))
+    return _cob_matrix(g.row_types, f.col_types,
+                       grid_product(g, f, mc_compose, mc_add))
 
 
 def mat_add(x: CobMatrix, y: CobMatrix) -> CobMatrix:
     if x.row_types != y.row_types or x.col_types != y.col_types:
         raise ValueError("matrix sum needs identical types")
-    return CobMatrix(x.row_types, x.col_types, grid_sum(x, y, mc_add))
+    return _cob_matrix(x.row_types, x.col_types, grid_sum(x, y, mc_add))
 
 
 def mat_tensor(x: CobMatrix, y: CobMatrix) -> CobMatrix:
-    return CobMatrix(tuple(rx + ry for rx in x.row_types for ry in y.row_types),
-                     tuple(cx + cy for cx in x.col_types for cy in y.col_types),
-                     grid_kron(x.cells.items(), y, mc_tensor))
+    return _cob_matrix(tuple(rx + ry for rx in x.row_types for ry in y.row_types),
+                       tuple(cx + cy for cx in x.col_types for cy in y.col_types),
+                       grid_kron(x.cells.items(), y, mc_tensor))
 
 
 def mat_hom(x: CobMatrix, y: CobMatrix) -> CobMatrix:
     """Kronecker combination over (x transposed, y) with the entry operation
     dual(x entry) tensor (y entry)."""
-    return CobMatrix(tuple(flip(c) + ry for c in x.col_types for ry in y.row_types),
-                     tuple(flip(r) + cy for r in x.row_types for cy in y.col_types),
-                     grid_kron([((j, i), mc_dual(e)) for (i, j), e in x.cells.items()],
-                               y, mc_tensor))
+    return _cob_matrix(
+        tuple(flip(c) + ry for c in x.col_types for ry in y.row_types),
+        tuple(flip(r) + cy for r in x.row_types for cy in y.col_types),
+        grid_kron([((j, i), mc_dual(e)) for (i, j), e in x.cells.items()],
+                  y, mc_tensor))
 
 
 def mat_dsum(x: CobMatrix, y: CobMatrix) -> CobMatrix:
-    return CobMatrix(x.row_types + y.row_types, x.col_types + y.col_types,
-                     grid_dsum(x, y))
+    return _cob_matrix(x.row_types + y.row_types, x.col_types + y.col_types,
+                       grid_dsum(x, y))
 
 
 def mat_dagger(x: CobMatrix) -> CobMatrix:
-    return CobMatrix(x.col_types, x.row_types,
-                     {(j, i): mc_dagger(e) for (i, j), e in x.cells.items()})
+    return _cob_matrix(x.col_types, x.row_types,
+                       {(j, i): mc_dagger(e) for (i, j), e in x.cells.items()})
 
 
 def cardinality(x: CobMatrix) -> tuple[tuple[int, ...], ...]:

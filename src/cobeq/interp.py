@@ -21,10 +21,10 @@ from itertools import product
 
 from .biproduct import Valuation, decompose, valuation
 from .cob import (
-    Boundary, CobMatrix, Cobordism, Matrix, MultiCob, flip, grid_dsum,
-    grid_kron, grid_product, grid_sum, identity_cob, identity_matrix,
-    mat_add, mat_compose, mat_dagger, mat_dsum, mat_hom, mat_tensor,
-    singleton,
+    Boundary, CobMatrix, Cobordism, Matrix, MultiCob, _cob_matrix, _trusted,
+    flip, grid_dsum, grid_kron, grid_product, grid_sum, identity_cob,
+    identity_matrix, mat_add, mat_compose, mat_dagger, mat_dsum, mat_hom,
+    mat_tensor, singleton,
 )
 from .syntax import (
     Alpha, AlphaInv, Arrow, Compose, Dagger, Dual, Eps, EpsC, Eta, EtaC,
@@ -91,7 +91,7 @@ def _swap_block(b1: Boundary, b2: Boundary) -> Cobordism:
     off = n1 + n2
     pairs = [(i, off + n2 + i) for i in range(n1)]
     pairs += [(n1 + q, off + q) for q in range(n2)]
-    return Cobordism(b1 + b2, b2 + b1, tuple(sorted(pairs)))
+    return _trusted(Cobordism, b1 + b2, b2 + b1, tuple(sorted(pairs)), 0)
 
 
 def _cap_block(a: Boundary, wires: Boundary) -> Cobordism:
@@ -99,7 +99,7 @@ def _cap_block(a: Boundary, wires: Boundary) -> Cobordism:
     ns, la = len(wires), len(a)
     pairs = [(ns + t, ns + la + t) for t in range(la)]
     pairs += [(q, ns + 2 * la + q) for q in range(ns)]
-    return Cobordism(wires, flip(a) + a + wires, tuple(sorted(pairs)))
+    return _trusted(Cobordism, wires, flip(a) + a + wires, tuple(sorted(pairs)), 0)
 
 
 def _cup_block(a: Boundary, wires: Boundary) -> Cobordism:
@@ -107,7 +107,7 @@ def _cup_block(a: Boundary, wires: Boundary) -> Cobordism:
     ns, la = 2 * len(a) + len(wires), len(a)
     pairs = [(p, la + p) for p in range(la)]
     pairs += [(2 * la + q, ns + q) for q in range(len(wires))]
-    return Cobordism(a + flip(a) + wires, wires, tuple(sorted(pairs)))
+    return _trusted(Cobordism, a + flip(a) + wires, wires, tuple(sorted(pairs)), 0)
 
 
 #: cobordism of a nonzero cell of each cap, cup and swap generator, from its
@@ -178,7 +178,7 @@ def _eval(t: Arrow) -> CobMatrix:
             # proj cells are identities, like those of id
             src, tgt = infer_type(t)
             cob = _CELL_COBS.get(type(t))
-            return CobMatrix(
+            return _cob_matrix(
                 interpret_object(tgt), interpret_object(src),
                 {(i, j): singleton(cob(*args) if cob else identity_cob("".join(args)))
                  for i, j, args in generator_cells(t, interpret_object)})

@@ -59,6 +59,9 @@ class _Node:
     equal fields (`Tensor(p,q)` and `Oplus(p,q)`) do not collide.  Writing
     the slot is idempotent, so concurrent first calls are harmless.  The
     parser writes it as it builds each node, from the hashes of its fields.
+    The first hash of a node built otherwise sets the slot of every node
+    below it that has none, children first, from an explicit stack, so a
+    deep term does not exhaust the recursion limit.
     """
 
     __slots__ = ("_h",)
@@ -66,9 +69,18 @@ class _Node:
     def __hash__(self) -> int:
         h = getattr(self, "_h", None)
         if h is None:
-            h = hash((type(self).__name__,
-                      *[getattr(self, f) for f in self.__match_args__]))
-            object.__setattr__(self, "_h", h)
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                fields = [getattr(node, f) for f in node.__match_args__]
+                fresh = [x for x in fields if isinstance(x, _Node)
+                         and getattr(x, "_h", None) is None]
+                if fresh:
+                    stack += fresh
+                    continue
+                stack.pop()
+                object.__setattr__(node, "_h", hash((type(node).__name__, *fields)))
+            h = self._h
         return h
 
 

@@ -8,8 +8,8 @@ from cobeq.cob import (
     ZERO, CobMatrix, Cobordism, MultiCob, cardinality, cobordism, dagger_cob,
     dual_cob, flip, glue, identity_cob, identity_matrix,
     mat_add, mat_compose, mat_dagger, mat_dsum, mat_hom, mat_tensor, matrix,
-    matrix_to_json, matrix_to_text, mc_add, multicob, singleton, tensor_cob,
-    zero_matrix,
+    matrix_to_json, matrix_to_text, mc_add, mc_compose, mc_dagger, mc_dual,
+    mc_tensor, multicob, singleton, tensor_cob, zero_matrix,
 )
 
 
@@ -235,25 +235,47 @@ def same_charge(rng, b, longest=6):
 COB_DIGEST = "85dc0cac94362460a73f6ed57ef93668f1149e1e17ff22fe5451f56fc353864c"
 
 
-def test_cob_output_digest():
-    """The pairs and circles of glue, tensor_cob, dagger_cob and dual_cob on
-    seeded cobordisms between boundaries of 0-6 points, pinned by one sha256.
-    Every other draw narrows the outer boundaries of a glue to at most two
-    points, so wide shared boundaries close loops; input circles run 0-3."""
+def _cob_corpus():
+    """The seeded draws of `test_cob_output_digest`: operands f, g between
+    boundaries of 0-6 points, and the results glue(g, f), tensor_cob(f, g),
+    tensor_cob(g, f), dagger_cob(f) and dual_cob(g).  Every other draw
+    narrows the outer boundaries of a glue to at most two points, so wide
+    shared boundaries close loops; input circles run 0-3."""
     rng = random.Random(1117)
-    digest = hashlib.sha256()
-    loops = 0
     for k in range(600):
         b = random_boundary(rng, rng.randint(0, 6))
         longest = 2 if k % 2 else 6
         f = random_cobordism(rng, same_charge(rng, b, longest), b, 3)
         g = random_cobordism(rng, b, same_charge(rng, b, longest), 3)
-        gf = glue(g, f)
+        yield f, g, (glue(g, f), tensor_cob(f, g), tensor_cob(g, f),
+                     dagger_cob(f), dual_cob(g))
+
+
+def test_cob_output_digest():
+    """The pairs and circles of glue, tensor_cob, dagger_cob and dual_cob on
+    the seeded corpus of `_cob_corpus`, pinned by one sha256."""
+    digest = hashlib.sha256()
+    loops = 0
+    for f, g, results in _cob_corpus():
+        gf = results[0]
         loops += gf.circles > f.circles + g.circles
-        for c in (gf, tensor_cob(f, g), tensor_cob(g, f), dagger_cob(f), dual_cob(g)):
+        for c in results:
             digest.update(repr((c.pairs, c.circles)).encode())
     assert loops >= 100
     assert digest.hexdigest() == COB_DIGEST
+
+
+def test_built_cobordisms_pass_the_public_checks():
+    """The operations build their results without the constructor's checks;
+    rebuilt through `Cobordism(...)` and `MultiCob(...)`, each result of the
+    digest corpus is unchanged."""
+    for f, g, results in _cob_corpus():
+        for c in results:
+            assert Cobordism(c.source, c.target, c.pairs, c.circles) == c
+        for m in (mc_compose(singleton(g), multicob([f, f])),
+                  mc_tensor(singleton(f), multicob([g, g])),
+                  mc_dagger(multicob([f, f])), mc_dual(singleton(g))):
+            assert MultiCob(m.elements) == m
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +290,49 @@ def test_multiset_multiplicity_matters():
     assert len(two) == 2
 
 
+def _swap(u, v):
+    """The symmetry u + v -> v + u."""
+    n, m = len(u), len(v)
+    return cobordism(u + v, v + u, [(i, n + 2 * m + i) for i in range(n)]
+                     + [(n + q, n + m + q) for q in range(m)])
+
+
+def test_mc_compose_unit_laws():
+    """A unit operand, the singleton of an identity, gives the full product
+    of every pair of elements, which is the other operand: on multisets
+    with repeated elements and circles, over empty boundaries too, and for
+    identities that a glue built."""
+    rng = random.Random(1313)
+    empty = glued = 0
+    for _ in range(300):
+        a = random_boundary(rng, rng.randint(0, 4))
+        b = compatible_target(rng, a)
+        elements = [random_cobordism(rng, a, b, 3) for _ in range(rng.randint(1, 3))]
+        f = multicob(elements + elements[:rng.randint(0, 2)])
+        units = []
+        for x in (a, b):
+            k = rng.randint(0, len(x))
+            sigma2 = glue(_swap(x[k:], x[:k]), _swap(x[:k], x[k:]))
+            assert sigma2 == identity_cob(x)
+            units.append(singleton(rng.choice([identity_cob(x), sigma2])))
+            glued += units[-1].elements[0] is sigma2
+        ua, ub = units
+        empty += a == ""
+        for g, h in ((ub, f), (f, ua)):
+            full = multicob(glue(cg, ch) for cg in g.elements for ch in h.elements)
+            assert mc_compose(g, h) == full == f
+        # an identity with a circle is no unit
+        looped = singleton(tensor_cob(identity_cob(b), cobordism("", "", [], 1)))
+        assert mc_compose(looped, f) == multicob(
+            cobordism(c.source, c.target, c.pairs, c.circles + 1) for c in f.elements)
+        with pytest.raises(ValueError):
+            mc_compose(singleton(identity_cob(b + "+")), f)
+        with pytest.raises(ValueError):
+            mc_compose(f, singleton(identity_cob(a + "-")))
+    assert mc_compose(ZERO, singleton(identity_cob("+"))) == ZERO
+    assert empty >= 20 and glued >= 100
+
+
 def test_multicob_canonical_order_enforced():
     f = cobordism("++--", "", [(0, 2), (1, 3)])
     g = cobordism("++--", "", [(0, 3), (1, 2)])
@@ -277,6 +342,8 @@ def test_multicob_canonical_order_enforced():
         MultiCob((g, f) if g.sort_key() > f.sort_key() else (f, g))
     with pytest.raises(ValueError, match="mismatched boundaries"):
         multicob([identity_cob("+"), identity_cob("-")])
+    with pytest.raises(ValueError, match="mismatched boundaries"):
+        mc_add(singleton(identity_cob("+")), singleton(identity_cob("-")))
 
 
 # ---------------------------------------------------------------------------

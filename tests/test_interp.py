@@ -14,7 +14,8 @@ from cobeq import (
     term_matrix_to_json, term_matrix_to_text,
 )
 from cobeq.cob import (
-    ZERO, cobordism, identity_cob, mc_add, mc_dual, multicob, singleton,
+    ZERO, CobMatrix, Cobordism, MultiCob, cobordism, identity_cob, mc_add,
+    mc_dual, multicob, singleton,
 )
 from cobeq.cli import matrix_to_dot
 from cobeq.generate import random_arrow, random_object
@@ -172,6 +173,19 @@ def test_output_bytes(mode):
         checked += 1
     assert checked >= 190
     assert digest.hexdigest() == OUTPUT_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_images_pass_the_public_checks(mode):
+    """The evaluator builds its matrices without the constructors' checks;
+    rebuilt through `Cobordism(...)`, `MultiCob(...)` and `CobMatrix(...)`,
+    every image of the `test_output_bytes` corpus is unchanged."""
+    for t in _output_corpus(mode):
+        m = interpret_arrow(t)
+        cells = {ij: MultiCob(tuple(Cobordism(c.source, c.target, c.pairs, c.circles)
+                                    for c in e.elements))
+                 for ij, e in m.cells.items()}
+        assert CobMatrix(m.row_types, m.col_types, cells) == m
 
 
 #: sha256 of the DOT renderings of the seeded terms in `test_dot_bytes`

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import random
+import sys
 import zlib
 
 import pytest
@@ -210,6 +211,25 @@ def test_expand_long_constructed_chain_under_default_limit():
     for _ in range(700):
         t = Compose(Id(P), t)
     assert expand_derived(t) is t
+
+
+def test_hash_long_constructed_chain_under_default_limit():
+    def chain(n):
+        t = Id(P)
+        for _ in range(n):
+            t = Compose(Id(P), t)
+        return t
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        a, b = chain(20_000), chain(20_000)
+        assert hash(a) == hash(b)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the same hash the parser sets as it builds each node
+    short = chain(30)
+    assert hash(short) == hash(parse_arrow(render_arrow(short))) == hash(chain(30))
 
 
 def test_expand_fixpoint_and_mode_closure():
