@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 
 import pytest
@@ -291,3 +292,94 @@ def test_decompose_of_a_long_tensor_product():
     assert r.returncode == 0 and r.stderr == ""
     assert r.stdout == (f"object: {expr}\ncomponents: 1\n[0] {expr}\n"
                         f"    inj: id[{expr}]\n    proj: id[{expr}]\n")
+
+
+#: query files of the CLI output corpus: one directive of each kind, two of
+#: each kind that prints a matrix or components, and checks only
+SHOW_FILES = {
+    "all.cob": """# one directive of each kind
+mode smcb
+obj a = p (+) q
+arrow res : a -> a = inj1[p,q] . proj1[p,q] + inj2[p,q] . proj2[p,q]
+check res = id[a]
+normalize inj1[p,q] . proj1[p,q]
+interpret hom(sigma[p,q], inj1[q,r])
+decompose a (x) (r -o a)
+""",
+    "two.cob": """mode ccb
+obj b = p* (+) I
+normalize id[p]
+interpret eps[p] . sigma[p*,p] . eta[p]
+normalize sigma[p,q]
+interpret id[b] (+) zero[q,p]
+decompose b (x) b
+decompose (p (+) q)*
+""",
+    "checks.cob": "check id[p] = zero[p,p]\ncheck sigma[q,p] . sigma[p,q] = id[p (x) q]\n",
+}
+
+#: argv of each call of the CLI output corpus
+SHOW_CALLS = [
+    *[[cmd, arg, *fmt]
+      for cmd, inline in [("normalize", "inj1[p,q]"),
+                          ("interpret", "sigma[p,q]"),
+                          ("decompose", "(p (+) q) (x) r")]
+      for arg in [inline, "all.cob", "two.cob"]
+      for fmt in [[], ["--format", "json"]]],
+    *[["interpret", arg, "-v", *fmt]
+      for arg in ["hom(sigma[p,q],inj1[q,r])", "all.cob", "two.cob"]
+      for fmt in [[], ["--format", "json"]]],
+    ["interpret", "eps[p] . sigma[p*,p] . eta[p]", "--mode", "ccb"],
+    ["decompose", "p* (x) (q (+) 0)", "--mode", "dccb", "--format", "json"],
+    ["render", "sigma[p,q]"],
+    ["render", "proj1[p,q] (+) eta[p, q (+) I]"],
+    ["render", "dg(eta[p])", "--mode", "dccb"],
+    *[["check", path, *fmt] for path in ["all.cob", "two.cob", "checks.cob"]
+      for fmt in [[], ["--format", "json"]]],
+    *[[cmd, "--help"] for cmd in
+      ["check", "normalize", "interpret", "decompose", "render", "selftest"]],
+    ["--help"],
+    ["interpret"],
+    ["decompose", "p", "--format", "xml"],
+    ["normalize", "checks.cob"],
+    ["interpret", "checks.cob", "--format", "json"],
+    ["decompose", "checks.cob"],
+    ["interpret", "nosuch . id[p]"],
+    ["normalize", "nosuch", "--format", "json"],
+    ["interpret", "eta[p]"],
+    ["decompose", "p -o q", "--mode", "ccb"],
+    ["normalize", "eta[p]", "--mode", "ccb"],
+    ["render", "dg(id[p])"],
+]
+
+SHOW_DIGEST = "f771dcaecd5ad92eca2ae6c0965bf8c6e514691026ee0e868d7e14e945ec9a3c"
+
+
+def show_corpus_digest(call) -> str:
+    """sha256 over the argv, exit code, stdout and stderr of every call of
+    the corpus; `call(argv)` returns `(code, out, err)`."""
+    digest = hashlib.sha256()
+    for argv in SHOW_CALLS:
+        digest.update(json.dumps([argv, *call(argv)]).encode())
+    return digest.hexdigest()
+
+
+def test_show_output_bytes(tmp_path, capsys, monkeypatch):
+    """Every show command in text and JSON, inline and from files, `-v`,
+    `render`, `check`, `--help` and usage errors, and the errors for a file
+    without matching directives, an unknown arrow and a mode violation,
+    pinned by one sha256."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, body in SHOW_FILES.items():
+        write(tmp_path, name, body)
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    assert show_corpus_digest(call) == SHOW_DIGEST
