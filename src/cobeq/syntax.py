@@ -672,6 +672,22 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 
 Defs = Mapping[str, "Obj | Arrow"]
 
+#: infix operators of each sort: text -> (kind, precedence, right
+#: associative, operands flipped); a higher precedence binds tighter.  The
+#: parser and the printer both read these tables.
+_OBJ_OPS: dict[str, tuple[type, int, bool, bool]] = {
+    "-o": (Hom, 1, True, False),
+    "(+)": (Oplus, 2, False, False),
+    "(x)": (Tensor, 3, False, False),
+}
+_ARROW_OPS: dict[str, tuple[type, int, bool, bool]] = {
+    "+": (Plus, 1, False, False),
+    ".": (Compose, 2, False, False),
+    ";": (Compose, 2, False, True),  # `f ; g` is `g . f`
+    "(x)": (TensorMap, 3, False, False),
+    "(+)": (OplusMap, 3, False, False),
+}
+
 
 class _Parser:
     """Recursive descent over the tokens of one text.
@@ -721,29 +737,27 @@ class _Parser:
         if kind != "eof":
             raise ParseError(f"unexpected trailing input {found!r}", pos)
 
-    # objects: -o (level 1, right assoc) < (+) (2) < (x) (3) < postfix * / atoms
-
-    def object_expr(self, min_prec: int = 1) -> Obj:
-        left = self.object_atom()
+    def expr(self, table: Mapping[str, tuple], min_prec: int = 1) -> Obj | Arrow:
+        """Precedence climbing over the infix operators of one sort's
+        `table`, from an atom of that sort; an operator looser than
+        `min_prec` ends the operand."""
+        left = (self.object_atom if table is _OBJ_OPS else self.arrow_atom)()
         while True:
-            op = self.ops[self.pos]
-            if op == "-o" and min_prec <= 1:
-                self.pos += 1
-                left = self.make(Hom, left, self.object_expr(1))
-            elif op == "(+)" and min_prec <= 2:
-                self.pos += 1
-                left = self.make(Oplus, left, self.object_expr(3))
-            elif op == "(x)" and min_prec <= 3:
-                self.pos += 1
-                left = self.make(Tensor, left, self.object_expr(4))
-            else:
+            op = table.get(self.ops[self.pos])
+            if op is None or op[1] < min_prec:
                 return left
+            self.pos += 1
+            kind, prec, right_assoc, flipped = op
+            right = self.expr(table, prec if right_assoc else prec + 1)
+            if flipped:
+                left, right = right, left
+            left = self.make(kind, left, right)
 
     def object_atom(self) -> Obj:
         kind, text, pos = self.advance()
         e: Obj
         if kind == "op" and text == "(":
-            e = self.object_expr(1)
+            e = self.expr(_OBJ_OPS)
             self.expect_op(")")
         elif kind == "num":
             if text != "0":
@@ -768,36 +782,12 @@ class _Parser:
             e = self.make(Dual, e)
         return e
 
-    # arrows: + (level 1) < . ; (2) < (x) (+) (3) < atoms
-
-    def arrow_expr(self, min_prec: int = 1) -> Arrow:
-        left = self.arrow_atom()
-        while True:
-            op = self.ops[self.pos]
-            if op == "+" and min_prec <= 1:
-                self.pos += 1
-                left = self.make(Plus, left, self.arrow_expr(2))
-            elif op == "." and min_prec <= 2:
-                self.pos += 1
-                left = self.make(Compose, left, self.arrow_expr(3))
-            elif op == ";" and min_prec <= 2:
-                self.pos += 1
-                left = self.make(Compose, self.arrow_expr(3), left)
-            elif op == "(x)" and min_prec <= 3:
-                self.pos += 1
-                left = self.make(TensorMap, left, self.arrow_expr(4))
-            elif op == "(+)" and min_prec <= 3:
-                self.pos += 1
-                left = self.make(OplusMap, left, self.arrow_expr(4))
-            else:
-                return left
-
     def _bracket_objects(self, low: int, high: int, what: str) -> list[Obj]:
         self.expect_op("[")
-        objs = [self.object_expr(1)]
+        objs = [self.expr(_OBJ_OPS)]
         while self.ops[self.pos] == ",":
             self.pos += 1
-            objs.append(self.object_expr(1))
+            objs.append(self.expr(_OBJ_OPS))
         self.expect_op("]")
         if not low <= len(objs) <= high:
             raise ParseError(f"{what} takes {low if low == high else f'{low} or {high}'}"
@@ -808,14 +798,14 @@ class _Parser:
         op = self.ops[self.pos]
         if op == "(":
             self.pos += 1
-            e = self.arrow_expr(1)
+            e = self.expr(_ARROW_OPS)
             self.expect_op(")")
             return e
         if op == "[":
             self.pos += 1
-            a = self.object_expr(2)  # parenthesize '-o' heads
+            a = self.expr(_OBJ_OPS, 2)  # parenthesize '-o' heads
             self.expect_op("-o")
-            g = self.arrow_expr(1)
+            g = self.expr(_ARROW_OPS)
             self.expect_op("]")
             return self.make(Whisker, a, g)
         kind, name, pos = self.advance()
@@ -828,14 +818,14 @@ class _Parser:
         match name:
             case "hom":
                 self.expect_op("(")
-                f = self.arrow_expr(1)
+                f = self.expr(_ARROW_OPS)
                 self.expect_op(",")
-                g = self.arrow_expr(1)
+                g = self.expr(_ARROW_OPS)
                 self.expect_op(")")
                 return self.make(HomMap, f, g)
             case "dg":
                 self.expect_op("(")
-                f = self.arrow_expr(1)
+                f = self.expr(_ARROW_OPS)
                 self.expect_op(")")
                 return self.make(Dagger, f)
             case _:
@@ -851,7 +841,7 @@ class _Parser:
 def parse_object(text: str, mode: Mode = Mode.SMCB, defs: Defs | None = None) -> Obj:
     """Parse an object formula, rejecting constructs illegal for `mode`."""
     p = _Parser(tokenize(text), mode, defs or {})
-    e = p.object_expr(1)
+    e = p.expr(_OBJ_OPS)
     p.expect_eof()
     if p.walk:
         check_object_mode(e, mode)
@@ -861,7 +851,7 @@ def parse_object(text: str, mode: Mode = Mode.SMCB, defs: Defs | None = None) ->
 def parse_arrow(text: str, mode: Mode = Mode.SMCB, defs: Defs | None = None) -> Arrow:
     """Parse an arrow term; the result is mode-legal and well-typed."""
     p = _Parser(tokenize(text), mode, defs or {})
-    t = p.arrow_expr(1)
+    t = p.expr(_ARROW_OPS)
     p.expect_eof()
     if p.walk:
         check_mode(t, mode)
@@ -873,12 +863,32 @@ def parse_arrow(text: str, mode: Mode = Mode.SMCB, defs: Defs | None = None) -> 
 # Printer.  parse(render(t)) is structurally equal to t.
 
 
-def render_object(a: Obj) -> str:
-    return _robj(a, 1)
+#: infix kind -> (text, precedence, right associative), printed unflipped
+_INFIX = {kind: (text, prec, right_assoc)
+          for table in (_OBJ_OPS, _ARROW_OPS)
+          for text, (kind, prec, right_assoc, flipped) in table.items()
+          if not flipped}
 
 
-def _robj(a: Obj, prec: int) -> str:
-    match a:
+def render_text(t: Obj | Arrow) -> str:
+    """Concrete syntax of an object or arrow; inverse of the parsers."""
+    return _render(t, 1)
+
+
+render_object = render_arrow = render_text
+
+
+def _render(t: Obj | Arrow, prec: int) -> str:
+    """Text of `t`, parenthesized when it is an infix term whose operator
+    binds more loosely than `prec`."""
+    infix = _INFIX.get(type(t))
+    if infix is not None:
+        text, p, right_assoc = infix
+        left, right = [getattr(t, f) for f in t.__match_args__]
+        s = (f"{_render(left, p + 1 if right_assoc else p)} {text} "
+             f"{_render(right, p if right_assoc else p + 1)}")
+        return f"({s})" if p < prec else s
+    match t:
         case Gen(name):
             return name
         case Unit():
@@ -886,45 +896,13 @@ def _robj(a: Obj, prec: int) -> str:
         case Zero():
             return "0"
         case Dual(x):
-            return _robj(x, 4) + "*"
-        case Tensor(l, r):
-            s, p = f"{_robj(l, 3)} (x) {_robj(r, 4)}", 3
-        case Oplus(l, r):
-            s, p = f"{_robj(l, 2)} (+) {_robj(r, 3)}", 2
-        case Hom(l, r):
-            s, p = f"{_robj(l, 2)} -o {_robj(r, 1)}", 1
-        case _:
-            raise ValueError(f"unknown object node {a!r}")
-    return f"({s})" if p < prec else s
-
-
-def render_arrow(t: Arrow) -> str:
-    return _rarr(t, 1)
-
-
-def _rarr(t: Arrow, prec: int) -> str:
-    match t:
+            return _render(x, 4) + "*"  # tighter than every infix operator
         case Arrow(_kw=str() as kw):
             return f"{kw}[{','.join(map(render_object, node_objects(t)))}]"
         case Whisker(a, g):
-            return f"[{_robj(a, 2)} -o {_rarr(g, 1)}]"
+            return f"[{_render(a, 2)} -o {_render(g, 1)}]"
         case HomMap(f, g):
-            return f"hom({_rarr(f, 1)}, {_rarr(g, 1)})"
+            return f"hom({_render(f, 1)}, {_render(g, 1)})"
         case Dagger(f):
-            return f"dg({_rarr(f, 1)})"
-        case Plus(l, r):
-            s, p = f"{_rarr(l, 1)} + {_rarr(r, 2)}", 1
-        case Compose(g, f):
-            s, p = f"{_rarr(g, 2)} . {_rarr(f, 3)}", 2
-        case TensorMap(l, r):
-            s, p = f"{_rarr(l, 3)} (x) {_rarr(r, 4)}", 3
-        case OplusMap(l, r):
-            s, p = f"{_rarr(l, 3)} (+) {_rarr(r, 4)}", 3
-        case _:
-            raise ValueError(f"unknown arrow node {t!r}")
-    return f"({s})" if p < prec else s
-
-
-def render_text(t: Obj | Arrow) -> str:
-    """Concrete syntax of an object or arrow; inverse of the parsers."""
-    return render_object(t) if isinstance(t, Obj) else render_arrow(t)
+            return f"dg({_render(f, 1)})"
+    raise ValueError(f"unknown node {t!r}")
