@@ -240,40 +240,44 @@ def matrix_to_dot(m: CobMatrix) -> str:
 # Commands
 
 
+def _show(d: Directive, as_json: bool, verbose: bool = False):
+    """The output of a normalize, interpret or decompose directive: a text
+    block, or a JSON value when `as_json`; `verbose` adds the endpoint
+    decompositions of an interpreted arrow."""
+    if d.kind == "decompose":
+        return (decomposition_to_json if as_json else decomposition_to_text)(d.obj)
+    if d.kind == "normalize":
+        tm = normalize_syntactic(d.term)
+        return (term_matrix_to_json if as_json else term_matrix_to_text)(tm)
+    m = interpret_arrow(d.term)  # the parser has checked the mode
+    ends = zip(("source", "target"), infer_type(d.term)) if verbose else ()
+    if as_json:
+        return {"matrix": matrix_to_json(m),
+                **{side: decomposition_to_json(a) for side, a in ends}}
+    return "\n".join([matrix_to_text(m),
+                      *[f"{side} {decomposition_to_text(a)}" for side, a in ends]])
+
+
 def _run_directives(qf: QueryFile, fmt: str) -> tuple[str, int]:
     as_json = fmt == "json"
     results: list = []  # text blocks, or JSON objects when `as_json`
     saw_ne = saw_inc = False
     for d in qf.directives:
-        head = {"directive": d.kind, "line": d.line, "text": d.text}
         with _depth_guard(f"{qf.path}:{d.line}"):
             if d.kind == "check":
                 v = decide_equal(d.lhs, d.rhs, certificate=as_json)
                 saw_ne = saw_ne or v.kind == "not-equal"
                 saw_inc = saw_inc or v.kind == "inconclusive"
-                if as_json:
-                    results.append({**head, **v.to_json()})
-                else:
-                    results.append(f"check {d.text}: {v.summary()}")
-            elif d.kind == "normalize":
-                tm = normalize_syntactic(d.term)
-                if as_json:
-                    results.append({**head, "matrix": term_matrix_to_json(tm)})
-                else:
-                    results.append(f"normalize {d.text}:\n"
-                                   + _indent(term_matrix_to_text(tm)))
-            elif d.kind == "interpret":
-                m = interpret_arrow(d.term, qf.mode)
-                if as_json:
-                    results.append({**head, "matrix": matrix_to_json(m)})
-                else:
-                    results.append(f"interpret {d.text}:\n"
-                                   + _indent(matrix_to_text(m)))
-            elif as_json:
-                results.append({**head, **decomposition_to_json(d.obj)})
+                out = v.to_json() if as_json else v.summary()
             else:
-                results.append(f"decompose {d.text}:\n"
-                               + _indent(decomposition_to_text(d.obj)))
+                out = _show(d, as_json)
+        if as_json:
+            head = {"directive": d.kind, "line": d.line, "text": d.text}
+            results.append({**head, **({"matrix": out} if d.kind == "normalize" else out)})
+        elif d.kind == "check":
+            results.append(f"check {d.text}: {out}")
+        else:
+            results.append(f"{d.kind} {d.text}:\n" + _indent(out))
     code = 1 if saw_ne else 2 if saw_inc else 0
     if as_json:
         out = json.dumps({"file": qf.path, "mode": str(qf.mode),
@@ -290,77 +294,36 @@ def cmd_check(args) -> int:
     return code
 
 
-def _gather(arg: str, mode: Mode, kind: str):
-    """Directives of one kind from a file, or a single inline expression,
-    each with the `FILE:LINE` it came from (None when inline)."""
+def cmd_show(args) -> int:
+    """`normalize`, `interpret` or `decompose`: the matching directives of a
+    query file, or one inline expression."""
+    kind, arg, mode = args.command, args.input, Mode(args.mode)
     if os.path.isfile(arg):
         qf = load_query_file(arg, mode)
         items = [(f"{arg}:{d.line}", d) for d in qf.directives if d.kind == kind]
         if not items:
             raise CliError(f"no {kind} directives in {arg}")
-        return qf.mode, items
-    with _depth_guard(None):
-        if kind == "decompose":
-            d = Directive(kind, 0, arg, obj=parse_object(arg, mode))
-        else:
-            d = Directive(kind, 0, arg, term=parse_arrow(arg, mode))
-    return mode, [(None, d)]
-
-
-def cmd_normalize(args) -> int:
-    _, items = _gather(args.input, Mode(args.mode), "normalize")
-    outs = []
-    for where, d in items:
-        with _depth_guard(where):
-            tm = normalize_syntactic(d.term)
-            outs.append(term_matrix_to_json(tm) if args.format == "json"
-                        else term_matrix_to_text(tm))
-    print(json.dumps(outs if len(outs) > 1 else outs[0], indent=2)
-          if args.format == "json" else "\n\n".join(outs))
-    return 0
-
-
-def cmd_interpret(args) -> int:
-    mode, items = _gather(args.input, Mode(args.mode), "interpret")
-    outs = []
-    for where, d in items:
-        with _depth_guard(where):
-            m = interpret_arrow(d.term, mode)
-            if args.format == "json":
-                blob = {"matrix": matrix_to_json(m)}
-                if args.verbose:
-                    src, tgt = infer_type(d.term)
-                    blob["source"] = decomposition_to_json(src)
-                    blob["target"] = decomposition_to_json(tgt)
-                outs.append(blob)
+    else:
+        with _depth_guard(None):
+            if kind == "decompose":
+                d = Directive(kind, 0, arg, obj=parse_object(arg, mode))
             else:
-                chunks = [matrix_to_text(m)]
-                if args.verbose:
-                    src, tgt = infer_type(d.term)
-                    chunks.append("source " + decomposition_to_text(src))
-                    chunks.append("target " + decomposition_to_text(tgt))
-                outs.append("\n".join(chunks))
-    print(json.dumps(outs if len(outs) > 1 else outs[0], indent=2)
-          if args.format == "json" else "\n\n".join(outs))
-    return 0
-
-
-def cmd_decompose(args) -> int:
-    _, items = _gather(args.input, Mode(args.mode), "decompose")
+                d = Directive(kind, 0, arg, term=parse_arrow(arg, mode))
+        items = [(None, d)]
+    as_json = args.format == "json"
     outs = []
     for where, d in items:
         with _depth_guard(where):
-            outs.append(decomposition_to_json(d.obj) if args.format == "json"
-                        else decomposition_to_text(d.obj))
+            outs.append(_show(d, as_json, args.verbose))
     print(json.dumps(outs if len(outs) > 1 else outs[0], indent=2)
-          if args.format == "json" else "\n\n".join(outs))
+          if as_json else "\n\n".join(outs))
     return 0
 
 
 def cmd_render(args) -> int:
     mode = Mode(args.mode)
     with _depth_guard(None):
-        dot = matrix_to_dot(interpret_arrow(parse_arrow(args.expr, mode), mode))
+        dot = matrix_to_dot(interpret_arrow(parse_arrow(args.expr, mode)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dot)
@@ -411,23 +374,18 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("normalize",
-                       help="print the term matrix of an arrow (smcb)")
-    p.add_argument("input", help="file with normalize directives, or an arrow")
-    common(p)
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("interpret", help="print the cobordism matrix of an arrow")
-    p.add_argument("input", help="file with interpret directives, or an arrow")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="also print the endpoint decompositions")
-    common(p)
-    p.set_defaults(func=cmd_interpret)
-
-    p = sub.add_parser("decompose", help="print the components of an object")
-    p.add_argument("input", help="file with decompose directives, or an object")
-    common(p)
-    p.set_defaults(func=cmd_decompose)
+    for kind, what, help in [
+        ("normalize", "an arrow", "print the term matrix of an arrow (smcb)"),
+        ("interpret", "an arrow", "print the cobordism matrix of an arrow"),
+        ("decompose", "an object", "print the components of an object"),
+    ]:
+        p = sub.add_parser(kind, help=help)
+        p.add_argument("input", help=f"file with {kind} directives, or {what}")
+        if kind == "interpret":
+            p.add_argument("-v", "--verbose", action="store_true",
+                           help="also print the endpoint decompositions")
+        common(p)
+        p.set_defaults(func=cmd_show, verbose=False)
 
     p = sub.add_parser("render", help="write the matrix of an arrow as DOT")
     p.add_argument("expr", help="an arrow expression")
