@@ -97,12 +97,26 @@ def load_query_file(path: str, default_mode: Mode) -> QueryFile:
         ln = len((data[:e.start].decode("utf-8") + "x").splitlines())
         raise CliError(f"{path}:{ln}: not valid UTF-8 "
                        f"(byte 0x{data[e.start]:02x})") from None
+
+    def parse(parser, text: str, at: int):
+        """`parser` of `text`, stripped, where `text` starts at index `at` of
+        its line; a parse error's position then counts from the line start."""
+        try:
+            return parser(text.strip(), mode, defs)
+        except ParseError as e:
+            if e.pos is None:
+                raise
+            raise ParseError(e.message, e.pos + at + len(text) - len(text.lstrip())) from None
+
     for ln, raw in enumerate(lines, start=1):
         stmt = raw.split("#", 1)[0].strip()
         if not stmt:
             continue
         parts = stmt.split(None, 1)
         head, rest = parts[0], (parts[1] if len(parts) > 1 else "")
+        # index of `rest` in the line; each expression parsed below is a
+        # prefix or a suffix of `rest`, or a suffix of its prefix `decl`
+        at = len(raw) - len(raw.lstrip()) + len(stmt) - len(rest)
         try:
             if head == "mode":
                 if saw_statement:
@@ -117,7 +131,7 @@ def load_query_file(path: str, default_mode: Mode) -> QueryFile:
                     raise ParseError("expected '=' in obj definition")
                 name = name.strip()
                 _check_name(name, defs)
-                defs[name] = parse_object(expr.strip(), mode, defs)
+                defs[name] = parse(parse_object, expr, at + len(rest) - len(expr))
             elif head == "arrow":
                 decl, eq, expr = rest.partition("=")
                 if not eq:
@@ -130,9 +144,9 @@ def load_query_file(path: str, default_mode: Mode) -> QueryFile:
                 s_text, sep, t_text = ann.partition("->")
                 if not sep:
                     raise ParseError("expected '->' in arrow type annotation")
-                src = parse_object(s_text.strip(), mode, defs)
-                tgt = parse_object(t_text.strip(), mode, defs)
-                term = parse_arrow(expr.strip(), mode, defs)
+                src = parse(parse_object, s_text, at + len(decl) - len(ann))
+                tgt = parse(parse_object, t_text, at + len(decl) - len(t_text))
+                term = parse(parse_arrow, expr, at + len(rest) - len(expr))
                 got = infer_type(term)
                 if got != (src, tgt):
                     raise TypeMismatch(
@@ -145,17 +159,15 @@ def load_query_file(path: str, default_mode: Mode) -> QueryFile:
                 if not eq:
                     raise ParseError("check needs the form 'check f = g'")
                 directives.append(Directive(
-                    "check", ln, rest.strip(),
-                    lhs=parse_arrow(l_text.strip(), mode, defs),
-                    rhs=parse_arrow(r_text.strip(), mode, defs)))
+                    "check", ln, rest,
+                    lhs=parse(parse_arrow, l_text, at),
+                    rhs=parse(parse_arrow, r_text, at + len(rest) - len(r_text))))
             elif head in ("normalize", "interpret"):
-                directives.append(Directive(
-                    head, ln, rest.strip(),
-                    term=parse_arrow(rest.strip(), mode, defs)))
+                directives.append(Directive(head, ln, rest,
+                                            term=parse(parse_arrow, rest, at)))
             elif head == "decompose":
-                directives.append(Directive(
-                    "decompose", ln, rest.strip(),
-                    obj=parse_object(rest.strip(), mode, defs)))
+                directives.append(Directive(head, ln, rest,
+                                            obj=parse(parse_object, rest, at)))
             else:
                 raise ParseError(f"unknown statement {head!r}")
         except CliError:
@@ -405,10 +417,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: the recursion limit during a call, since parsing, type inference and
+#: evaluation recurse over term trees.  Before 3.11 each Python call also
+#: takes C stack: under an 8 MiB stack (Python 3.10.13), parsing nested
+#: parentheses crashes the interpreter at a limit of 17500, while
+#: `decompose` of a 15,000-factor product needs a little over 15000.
+_RECURSION_LIMIT = 30000 if sys.version_info >= (3, 11) else 16000
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # iterated expansion and evaluation recurse over term trees
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 30000))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, _RECURSION_LIMIT))
     # the evaluation caches only grow during a call, so a full collection
     # walks every cached matrix and frees nothing: skip it, keep the young ones
     thresholds = gc.get_threshold()
@@ -420,6 +440,7 @@ def main(argv=None) -> int:
         return 3
     finally:
         gc.set_threshold(*thresholds)
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

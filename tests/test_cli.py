@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -61,10 +62,12 @@ def test_full_collections_skipped_during_a_call_only(tmp_path, capsys, monkeypat
     monkeypatch.setattr("cobeq.cli.cmd_check",
                         lambda args: seen.append(gc.get_threshold()) or 0)
     before = gc.get_threshold()
+    limit = sys.getrecursionlimit()
     path = write(tmp_path, "q.cob", "check id[p] = id[p]\n")
     assert run(capsys, "check", path) == (0, "", "")
     assert seen == [(*before[:2], 1 << 30)]
     assert gc.get_threshold() == before
+    assert sys.getrecursionlimit() == limit
 
 
 def test_check_non_utf8_file_exits_3(tmp_path, capsys):
@@ -104,7 +107,23 @@ def test_check_reports_file_line_col(tmp_path, capsys):
     path = write(tmp_path, "bad2.cob", "obj a = p (x)\ncheck id[p] = id[p]\n")
     code, _, err = run(capsys, "check", path)
     assert code == 3
-    assert "bad2.cob:1:" in err
+    assert err == f"error: {path}:1:14: expected an object, found 'end of input'\n"
+
+
+@pytest.mark.parametrize("line,col,message", [
+    ("check id[p] = id[p] . sigma[p,q", 32, "expected ']', found 'end of input'"),
+    ("arrow f : p -> q (x = id[p]", 18, "unexpected trailing input '('"),
+    ("arrow g :p->\tq* ( = id[p]", 17, "unexpected trailing input '('"),
+    ("arrow h : ( -> p = id[p]", 12, "expected an object, found 'end of input'"),
+    ("  obj  bb   =  (p", 18, "expected ')', found 'end of input'"),
+    ("decompose  p q", 14, "unexpected trailing input 'q'"),
+    ("interpret\tid[p] x", 17, "unexpected trailing input 'x'"),
+])
+def test_parse_error_column_counts_from_line_start(tmp_path, capsys, line, col, message):
+    path = write(tmp_path, "col.cob", f"mode ccb\n{line}  # comment\n")
+    code, out, err = run(capsys, "check", path)
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}:2:{col}: {message}\n"
 
 
 def test_mode_must_come_first(tmp_path, capsys):

@@ -210,7 +210,24 @@ def test_expand_long_constructed_chain_under_default_limit():
     t = Id(P)
     for _ in range(700):
         t = Compose(Id(P), t)
-    assert expand_derived(t) is t
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert expand_derived(t) is t
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_parse_nested_parentheses_two_frames_per_level():
+    # 1,200 levels fit a limit of 3000 at two Python frames per level
+    # (the operand and its atom), not at three
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(3000)
+    try:
+        assert parse_object("(" * 1200 + "p" + ")" * 1200) == Gen("p")
+        assert parse_arrow("(" * 1200 + "id[p]" + ")" * 1200) == Id(P)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_hash_long_constructed_chain_under_default_limit():
