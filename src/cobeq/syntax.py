@@ -741,7 +741,7 @@ class _Parser:
         """Precedence climbing over the infix operators of one sort's
         `table`, from an atom of that sort; an operator looser than
         `min_prec` ends the operand."""
-        left = (self.object_atom if table is _OBJ_OPS else self.arrow_atom)()
+        left = self.object_atom() if table is _OBJ_OPS else self.arrow_atom()
         while True:
             op = table.get(self.ops[self.pos])
             if op is None or op[1] < min_prec:
