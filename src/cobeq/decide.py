@@ -10,6 +10,15 @@ only; no dialect is passed in.
 
 Both terms are evaluated as written: `interpret_arrow` has a direct case for
 every derived kind, so no expansion runs first.
+
+The axiom battery is one table, `FAMILIES`.  Each `AxiomFamily` names its
+dialects and a draw spec, a space-separated list of metavariables in draw
+order: `a` is an object; `f:a>b` is an arrow, drawn from `a` when `a` is
+already bound and free otherwise, whose named endpoints are bound (either
+may be left unnamed, as in `f:>b` or `f:>`); `g~f` is a same-type variant of
+`f`.  Its `laws` function takes the bound names as keywords and returns the
+(lhs, rhs) pairs of one instance.  The generators are called through this
+module's globals, so rebinding them here reaches every draw.
 """
 
 from __future__ import annotations
@@ -54,10 +63,6 @@ class Verdict:
         if self.kind == "inconclusive":
             return f"inconclusive: {self.reason}"
         return self.kind
-
-    @property
-    def is_equal(self) -> bool:
-        return self.kind == "equal"
 
     def to_json(self) -> dict:
         out: dict = {"verdict": self.kind}
@@ -106,15 +111,40 @@ def decide_equal(f: Arrow, g: Arrow, *, certificate: bool = False) -> Verdict:
 # ---------------------------------------------------------------------------
 # Axiom families
 
-Builder = Callable[[random.Random, Mode, int, tuple[str, ...]],
-                   list[tuple[Arrow, Arrow]]]
-
 
 @dataclass(frozen=True)
 class AxiomFamily:
+    """One family of laws over the metavariables that `spec` draws (see the
+    module docstring).  An arrow drawn free has depth `depth`; one drawn
+    from a bound source has depth 1."""
+
     name: str
     modes: frozenset[Mode]
-    build: Builder
+    spec: str
+    laws: Callable[..., list[tuple[Arrow, Arrow]]]
+    depth: int = 1
+
+    def build(self, rng: random.Random, mode: Mode, od: int,
+              gens: tuple[str, ...]) -> list[tuple[Arrow, Arrow]]:
+        env: dict = {}
+        for var in self.spec.split():
+            name, colon, ends = var.partition(":")
+            if colon:
+                src, _, tgt = ends.partition(">")
+                if src in env:
+                    f = random_arrow_with_source(rng, env[src], mode, 1, od, gens)
+                    src = ""  # bound already
+                else:
+                    f = random_arrow(rng, mode, self.depth, od, gens)
+                if src or tgt:
+                    env.update((e, o) for e, o in zip((src, tgt), infer_type(f)) if e)
+                env[name] = f
+            elif "~" in var:
+                name, _, of = var.partition("~")
+                env[name] = same_type_variant(rng, env[of])
+            else:
+                env[var] = random_object(rng, mode, od, gens)
+        return self.laws(**env)
 
 
 _ALL = frozenset(Mode)
@@ -122,390 +152,163 @@ _SMCB = frozenset({Mode.SMCB})
 _CC = frozenset({Mode.CCB, Mode.DCCB})
 _DCCB = frozenset({Mode.DCCB})
 
-
-def _arrow(rng, mode, od, gens, depth=1):
-    return random_arrow(rng, mode, depth, od, gens)
-
-
-def _obj(rng, mode, od, gens):
-    return random_object(rng, mode, od, gens)
-
-
-def _f_category(rng, mode, od, gens):
-    f = _arrow(rng, mode, od, gens, depth=2)
-    a, b = infer_type(f)
-    g = random_arrow_with_source(rng, b, mode, 1, od, gens)
-    h = random_arrow_with_source(rng, infer_type(g)[1], mode, 1, od, gens)
-    return [
+#: The core equational presentation (one entry per family) followed by the
+#: derived laws and the compact closed / dagger extensions.
+FAMILIES: tuple[AxiomFamily, ...] = (
+    AxiomFamily("category-laws", _ALL, "f:a>b g:b>c h:c>", lambda f, a, b, g, h, **_: [
         (Compose(f, Id(a)), f),
         (Compose(Id(b), f), f),
         (Compose(Compose(h, g), f), Compose(h, Compose(g, f))),
-    ]
-
-
-def _f_tensor_functor(rng, mode, od, gens):
-    a, b = _obj(rng, mode, od, gens), _obj(rng, mode, od, gens)
-    f1 = _arrow(rng, mode, od, gens)
-    f2 = random_arrow_with_source(rng, infer_type(f1)[1], mode, 1, od, gens)
-    g1 = _arrow(rng, mode, od, gens)
-    g2 = random_arrow_with_source(rng, infer_type(g1)[1], mode, 1, od, gens)
-    return [
+    ], depth=2),
+    AxiomFamily("tensor-functorial", _ALL, "a b f1:>x f2:x> g1:>y g2:y>",
+                lambda a, b, f1, f2, g1, g2, **_: [
         (TensorMap(Id(a), Id(b)), Id(Tensor(a, b))),
         (Compose(TensorMap(f2, g2), TensorMap(f1, g1)),
          TensorMap(Compose(f2, f1), Compose(g2, g1))),
-    ]
-
-
-def _f_oplus_functor(rng, mode, od, gens):
-    a, b = _obj(rng, mode, od, gens), _obj(rng, mode, od, gens)
-    f1 = _arrow(rng, mode, od, gens)
-    f2 = random_arrow_with_source(rng, infer_type(f1)[1], mode, 1, od, gens)
-    g1 = _arrow(rng, mode, od, gens)
-    g2 = random_arrow_with_source(rng, infer_type(g1)[1], mode, 1, od, gens)
-    return [
+    ]),
+    AxiomFamily("oplus-functorial", _ALL, "a b f1:>x f2:x> g1:>y g2:y>",
+                lambda a, b, f1, f2, g1, g2, **_: [
         (OplusMap(Id(a), Id(b)), Id(Oplus(a, b))),
         (Compose(OplusMap(f2, g2), OplusMap(f1, g1)),
          OplusMap(Compose(f2, f1), Compose(g2, g1))),
-    ]
-
-
-def _f_hom_functor(rng, mode, od, gens):
-    a, b = _obj(rng, mode, od, gens), _obj(rng, mode, od, gens)
-    g1 = _arrow(rng, mode, od, gens)
-    g2 = random_arrow_with_source(rng, infer_type(g1)[1], mode, 1, od, gens)
-    return [
+    ]),
+    AxiomFamily("hom-functorial", _SMCB, "a b g1:>y g2:y>", lambda a, b, g1, g2, **_: [
         (Whisker(a, Id(b)), Id(Hom(a, b))),
         (Compose(Whisker(a, g2), Whisker(a, g1)), Whisker(a, Compose(g2, g1))),
-    ]
-
-
-def _f_associator(rng, mode, od, gens):
-    f, g, h = (_arrow(rng, mode, od, gens) for _ in range(3))
-    (a, a1), (b, b1), (c, c1) = infer_type(f), infer_type(g), infer_type(h)
-    return [
+    ]),
+    AxiomFamily("associator", _ALL, "f:a>a1 g:b>b1 h:c>c1",
+                lambda f, g, h, a, a1, b, b1, c, c1: [
         (Compose(TensorMap(TensorMap(f, g), h), Alpha(a, b, c)),
          Compose(Alpha(a1, b1, c1), TensorMap(f, TensorMap(g, h)))),
         (Compose(AlphaInv(a, b, c), Alpha(a, b, c)), Id(Tensor(a, Tensor(b, c)))),
         (Compose(Alpha(a, b, c), AlphaInv(a, b, c)), Id(Tensor(Tensor(a, b), c))),
-    ]
-
-
-def _f_unitor(rng, mode, od, gens):
-    f = _arrow(rng, mode, od, gens)
-    a, a1 = infer_type(f)
-    return [
+    ]),
+    AxiomFamily("unitor", _ALL, "f:a>a1", lambda f, a, a1: [
         (Compose(f, Lambda(a)), Compose(Lambda(a1), TensorMap(Id(Unit()), f))),
         (Compose(LambdaInv(a), Lambda(a)), Id(Tensor(Unit(), a))),
         (Compose(Lambda(a), LambdaInv(a)), Id(a)),
-    ]
-
-
-def _f_symmetry(rng, mode, od, gens):
-    f, g = _arrow(rng, mode, od, gens), _arrow(rng, mode, od, gens)
-    (a, a1), (b, b1) = infer_type(f), infer_type(g)
-    return [
+    ]),
+    AxiomFamily("symmetry", _ALL, "f:a>a1 g:b>b1", lambda f, g, a, a1, b, b1: [
         (Compose(TensorMap(g, f), Sigma(a, b)), Compose(Sigma(a1, b1), TensorMap(f, g))),
         (Compose(Sigma(b, a), Sigma(a, b)), Id(Tensor(a, b))),
-    ]
-
-
-def _f_curry_natural(rng, mode, od, gens):
-    g = _arrow(rng, mode, od, gens)
-    b, b1 = infer_type(g)
-    a = _obj(rng, mode, od, gens)
-    return [
-        (Compose(Whisker(a, TensorMap(Id(a), g)), Eta(a, b)),
-         Compose(Eta(a, b1), g)),
-    ]
-
-
-def _f_uncurry_natural(rng, mode, od, gens):
-    g = _arrow(rng, mode, od, gens)
-    b, b1 = infer_type(g)
-    a = _obj(rng, mode, od, gens)
-    return [
-        (Compose(g, Eps(a, b)),
-         Compose(Eps(a, b1), TensorMap(Id(a), Whisker(a, g)))),
-    ]
-
-
-def _f_injection_natural(rng, mode, od, gens):
-    f, g = _arrow(rng, mode, od, gens), _arrow(rng, mode, od, gens)
-    (a, a1), (b, b1) = infer_type(f), infer_type(g)
-    return [
+    ]),
+    AxiomFamily("curry-natural", _SMCB, "g:b>b1 a", lambda g, b, b1, a: [
+        (Compose(Whisker(a, TensorMap(Id(a), g)), Eta(a, b)), Compose(Eta(a, b1), g)),
+    ]),
+    AxiomFamily("uncurry-natural", _SMCB, "g:b>b1 a", lambda g, b, b1, a: [
+        (Compose(g, Eps(a, b)), Compose(Eps(a, b1), TensorMap(Id(a), Whisker(a, g)))),
+    ]),
+    AxiomFamily("injection-natural", _ALL, "f:a>a1 g:b>b1", lambda f, g, a, a1, b, b1: [
         (Compose(OplusMap(f, g), Inj1(a, b)), Compose(Inj1(a1, b1), f)),
         (Compose(OplusMap(f, g), Inj2(a, b)), Compose(Inj2(a1, b1), g)),
-    ]
-
-
-def _f_projection_natural(rng, mode, od, gens):
-    f, g = _arrow(rng, mode, od, gens), _arrow(rng, mode, od, gens)
-    (a, a1), (b, b1) = infer_type(f), infer_type(g)
-    return [
+    ]),
+    AxiomFamily("projection-natural", _ALL, "f:a>a1 g:b>b1", lambda f, g, a, a1, b, b1: [
         (Compose(f, Proj1(a, b)), Compose(Proj1(a1, b1), OplusMap(f, g))),
         (Compose(g, Proj2(a, b)), Compose(Proj2(a1, b1), OplusMap(f, g))),
-    ]
-
-
-def _f_adjunction_triangles(rng, mode, od, gens):
-    a, b = _obj(rng, mode, od, gens), _obj(rng, mode, od, gens)
-    return [
+    ]),
+    AxiomFamily("adjunction-triangles", _SMCB, "a b", lambda a, b: [
         (Compose(Whisker(a, Eps(a, b)), Eta(a, Hom(a, b))), Id(Hom(a, b))),
-        (Compose(Eps(a, Tensor(a, b)), TensorMap(Id(a), Eta(a, b))),
-         Id(Tensor(a, b))),
-    ]
-
-
-def _f_proj_inj_identity(rng, mode, od, gens):
-    a, b = _obj(rng, mode, od, gens), _obj(rng, mode, od, gens)
-    return [
+        (Compose(Eps(a, Tensor(a, b)), TensorMap(Id(a), Eta(a, b))), Id(Tensor(a, b))),
+    ]),
+    AxiomFamily("proj-inj-identity", _ALL, "a b", lambda a, b: [
         (Compose(Proj1(a, b), Inj1(a, b)), Id(a)),
         (Compose(Proj2(a, b), Inj2(a, b)), Id(b)),
-    ]
-
-
-def _f_proj_inj_zero(rng, mode, od, gens):
-    a, b = _obj(rng, mode, od, gens), _obj(rng, mode, od, gens)
-    return [
+    ]),
+    AxiomFamily("proj-inj-zero", _ALL, "a b", lambda a, b: [
         (Compose(Proj2(a, b), Inj1(a, b)), ZeroMap(a, b)),
         (Compose(Proj1(a, b), Inj2(a, b)), ZeroMap(b, a)),
-    ]
-
-
-def _f_biproduct_resolution(rng, mode, od, gens):
-    a, b = _obj(rng, mode, od, gens), _obj(rng, mode, od, gens)
-    return [
+    ]),
+    AxiomFamily("biproduct-resolution", _ALL, "a b", lambda a, b: [
         (Plus(Compose(Inj1(a, b), Proj1(a, b)), Compose(Inj2(a, b), Proj2(a, b))),
          Id(Oplus(a, b))),
-    ]
-
-
-def _f_sum_monoid(rng, mode, od, gens):
-    f1 = _arrow(rng, mode, od, gens)
-    a, b = infer_type(f1)
-    f2 = same_type_variant(rng, f1)
-    f3 = same_type_variant(rng, f1)
-    return [
+    ]),
+    AxiomFamily("sum-monoid", _ALL, "f1:a>b f2~f1 f3~f1", lambda f1, f2, f3, a, b: [
         (Plus(f1, Plus(f2, f3)), Plus(Plus(f1, f2), f3)),
         (Plus(f1, f2), Plus(f2, f1)),
         (Plus(f1, ZeroMap(a, b)), f1),
-    ]
-
-
-def _f_sum_distributes(rng, mode, od, gens):
-    f = _arrow(rng, mode, od, gens)
-    a, b = infer_type(f)
-    f2 = same_type_variant(rng, f)
-    g1 = random_arrow_with_source(rng, b, mode, 1, od, gens)
-    g2 = same_type_variant(rng, g1)
-    return [
+    ]),
+    AxiomFamily("sum-distributes", _ALL, "f:a>b f2~f g1:b> g2~g1",
+                lambda f, f2, g1, g2, **_: [
         (Compose(Plus(g1, g2), f), Plus(Compose(g1, f), Compose(g2, f))),
         (Compose(g1, Plus(f, f2)), Plus(Compose(g1, f), Compose(g1, f2))),
-    ]
-
-
-def _f_zero_absorbs(rng, mode, od, gens):
-    f = _arrow(rng, mode, od, gens)
-    a, b = infer_type(f)
-    c = _obj(rng, mode, od, gens)
-    return [
+    ]),
+    AxiomFamily("zero-absorbs", _ALL, "f:a>b c", lambda f, a, b, c: [
         (Compose(ZeroMap(b, c), f), ZeroMap(a, c)),
         (Compose(f, ZeroMap(c, a)), ZeroMap(c, b)),
-    ]
-
-
-def _f_pentagon(rng, mode, od, gens):
-    a, b, c, d = (_obj(rng, mode, od, gens) for _ in range(4))
-    return [
+    ]),
+    AxiomFamily("pentagon", _ALL, "a b c d", lambda a, b, c, d: [
         (Compose(Alpha(Tensor(a, b), c, d), Alpha(a, b, Tensor(c, d))),
-         Compose(Compose(TensorMap(Alpha(a, b, c), Id(d)),
-                         Alpha(a, Tensor(b, c), d)),
+         Compose(Compose(TensorMap(Alpha(a, b, c), Id(d)), Alpha(a, Tensor(b, c), d)),
                  TensorMap(Id(a), Alpha(b, c, d)))),
-    ]
-
-
-def _f_unit_coherence(rng, mode, od, gens):
-    a, b = _obj(rng, mode, od, gens), _obj(rng, mode, od, gens)
-    return [
-        (Lambda(Tensor(a, b)),
-         Compose(TensorMap(Lambda(a), Id(b)), Alpha(Unit(), a, b))),
-    ]
-
-
-def _f_hexagon(rng, mode, od, gens):
-    a, b, c = (_obj(rng, mode, od, gens) for _ in range(3))
-    return [
+    ]),
+    AxiomFamily("unit-coherence", _ALL, "a b", lambda a, b: [
+        (Lambda(Tensor(a, b)), Compose(TensorMap(Lambda(a), Id(b)), Alpha(Unit(), a, b))),
+    ]),
+    AxiomFamily("hexagon", _ALL, "a b c", lambda a, b, c: [
         (Compose(Compose(Alpha(c, a, b), Sigma(Tensor(a, b), c)), Alpha(a, b, c)),
          Compose(Compose(TensorMap(Sigma(a, c), Id(b)), Alpha(a, c, b)),
                  TensorMap(Id(a), Sigma(b, c)))),
-    ]
-
-
-def _f_zero_endo(rng, mode, od, gens):
-    return [(ZeroMap(Zero(), Zero()), Id(Zero()))]
-
-
-def _f_curry_dinatural(rng, mode, od, gens):
-    f = _arrow(rng, mode, od, gens)
-    a, a1 = infer_type(f)
-    b = _obj(rng, mode, od, gens)
-    return [
+    ]),
+    AxiomFamily("zero-endo-identity", _ALL, "", lambda: [
+        (ZeroMap(Zero(), Zero()), Id(Zero())),
+    ]),
+    AxiomFamily("curry-dinatural", _SMCB, "f:a>a1 b", lambda f, a, a1, b: [
         (Compose(Whisker(a, TensorMap(f, Id(b))), Eta(a, b)),
          Compose(HomMap(f, Id(Tensor(a1, b))), Eta(a1, b))),
-    ]
-
-
-def _f_uncurry_dinatural(rng, mode, od, gens):
-    f = _arrow(rng, mode, od, gens)
-    a, a1 = infer_type(f)
-    b = _obj(rng, mode, od, gens)
-    return [
+    ]),
+    AxiomFamily("uncurry-dinatural", _SMCB, "f:a>a1 b", lambda f, a, a1, b: [
         (Compose(Eps(a, b), TensorMap(Id(a), HomMap(f, Id(b)))),
          Compose(Eps(a1, b), TensorMap(f, Id(Hom(a1, b))))),
-    ]
-
-
-def _f_tensor_distributes(rng, mode, od, gens):
-    f = _arrow(rng, mode, od, gens)
-    g1 = _arrow(rng, mode, od, gens)
-    g2 = same_type_variant(rng, g1)
-    return [
+    ]),
+    AxiomFamily("tensor-distributes", _ALL, "f:> g1:> g2~g1", lambda f, g1, g2: [
         (TensorMap(f, Plus(g1, g2)), Plus(TensorMap(f, g1), TensorMap(f, g2))),
         (TensorMap(Plus(g1, g2), f), Plus(TensorMap(g1, f), TensorMap(g2, f))),
-    ]
-
-
-def _f_hom_distributes(rng, mode, od, gens):
-    f = _arrow(rng, mode, od, gens)
-    f2 = same_type_variant(rng, f)
-    g1 = _arrow(rng, mode, od, gens)
-    g2 = same_type_variant(rng, g1)
-    return [
+    ]),
+    AxiomFamily("hom-distributes", _SMCB, "f:> f2~f g1:> g2~g1", lambda f, f2, g1, g2: [
         (HomMap(f, Plus(g1, g2)), Plus(HomMap(f, g1), HomMap(f, g2))),
         (HomMap(Plus(f, f2), g1), Plus(HomMap(f, g1), HomMap(f2, g1))),
-    ]
-
-
-def _f_tensor_zero(rng, mode, od, gens):
-    f = _arrow(rng, mode, od, gens)
-    a, a1 = infer_type(f)
-    b, b1 = _obj(rng, mode, od, gens), _obj(rng, mode, od, gens)
-    return [
+    ]),
+    AxiomFamily("tensor-zero", _ALL, "f:a>a1 b b1", lambda f, a, a1, b, b1: [
         (TensorMap(f, ZeroMap(b, b1)), ZeroMap(Tensor(a, b), Tensor(a1, b1))),
         (TensorMap(ZeroMap(b, b1), f), ZeroMap(Tensor(b, a), Tensor(b1, a1))),
-    ]
-
-
-def _f_hom_zero(rng, mode, od, gens):
-    f = _arrow(rng, mode, od, gens)
-    a, a1 = infer_type(f)
-    b, b1 = _obj(rng, mode, od, gens), _obj(rng, mode, od, gens)
-    return [
+    ]),
+    AxiomFamily("hom-zero", _SMCB, "f:a>a1 b b1", lambda f, a, a1, b, b1: [
         (HomMap(f, ZeroMap(b, b1)), ZeroMap(Hom(a1, b), Hom(a, b1))),
         (HomMap(ZeroMap(b, b1), f), ZeroMap(Hom(b1, a), Hom(b, a1))),
-    ]
-
-
-def _f_compact_triangles(rng, mode, od, gens):
-    a = _obj(rng, mode, od, gens)
-    da = Dual(a)
-    return [
-        (Compose(Compose(TensorMap(Id(da), EpsC(a)), AlphaInv(da, a, da)),
-                 TensorMap(EtaC(a), Id(da))),
-         Sigma(Unit(), da)),
-        (Compose(Compose(TensorMap(EpsC(a), Id(a)), Alpha(a, da, a)),
+    ]),
+    AxiomFamily("compact-triangles", _CC, "a", lambda a: [
+        (Compose(Compose(TensorMap(Id(Dual(a)), EpsC(a)), AlphaInv(Dual(a), a, Dual(a))),
+                 TensorMap(EtaC(a), Id(Dual(a)))),
+         Sigma(Unit(), Dual(a))),
+        (Compose(Compose(TensorMap(EpsC(a), Id(a)), Alpha(a, Dual(a), a)),
                  TensorMap(Id(a), EtaC(a))),
          Sigma(a, Unit())),
-    ]
-
-
-def _f_dagger_involution(rng, mode, od, gens):
-    f = _arrow(rng, mode, od, gens, depth=2)
-    return [(Dagger(Dagger(f)), f)]
-
-
-def _f_dagger_contravariant(rng, mode, od, gens):
-    f = _arrow(rng, mode, od, gens)
-    g = random_arrow_with_source(rng, infer_type(f)[1], mode, 1, od, gens)
-    return [(Dagger(Compose(g, f)), Compose(Dagger(f), Dagger(g)))]
-
-
-def _f_dagger_tensor(rng, mode, od, gens):
-    f, g = _arrow(rng, mode, od, gens), _arrow(rng, mode, od, gens)
-    return [(Dagger(TensorMap(f, g)), TensorMap(Dagger(f), Dagger(g)))]
-
-
-def _f_dagger_structure(rng, mode, od, gens):
-    a, b, c = (_obj(rng, mode, od, gens) for _ in range(3))
-    return [
+    ]),
+    AxiomFamily("dagger-involution", _DCCB, "f:>", lambda f: [
+        (Dagger(Dagger(f)), f),
+    ], depth=2),
+    AxiomFamily("dagger-contravariant", _DCCB, "f:>b g:b>", lambda f, b, g: [
+        (Dagger(Compose(g, f)), Compose(Dagger(f), Dagger(g))),
+    ]),
+    AxiomFamily("dagger-tensor", _DCCB, "f:> g:>", lambda f, g: [
+        (Dagger(TensorMap(f, g)), TensorMap(Dagger(f), Dagger(g))),
+    ]),
+    AxiomFamily("dagger-structure", _DCCB, "a b c", lambda a, b, c: [
         (Dagger(Alpha(a, b, c)), AlphaInv(a, b, c)),
         (Dagger(Lambda(a)), LambdaInv(a)),
         (Dagger(Sigma(a, b)), Sigma(b, a)),
-    ]
-
-
-def _f_dagger_compact_unit(rng, mode, od, gens):
-    a = _obj(rng, mode, od, gens)
-    return [(Compose(Sigma(a, Dual(a)), Dagger(EpsC(a))), EtaC(a))]
-
-
-def _f_dagger_biproduct(rng, mode, od, gens):
-    a, b = _obj(rng, mode, od, gens), _obj(rng, mode, od, gens)
-    return [
+    ]),
+    AxiomFamily("dagger-compact-unit", _DCCB, "a", lambda a: [
+        (Compose(Sigma(a, Dual(a)), Dagger(EpsC(a))), EtaC(a)),
+    ]),
+    AxiomFamily("dagger-biproduct", _DCCB, "a b", lambda a, b: [
         (Inj1(a, b), Dagger(Proj1(a, b))),
         (Inj2(a, b), Dagger(Proj2(a, b))),
-    ]
-
-
-def _f_dagger_sum(rng, mode, od, gens):
-    f = _arrow(rng, mode, od, gens)
-    a, b = infer_type(f)
-    g = same_type_variant(rng, f)
-    return [
+    ]),
+    AxiomFamily("dagger-sum", _DCCB, "f:a>b g~f", lambda f, a, b, g: [
         (Dagger(Plus(f, g)), Plus(Dagger(f), Dagger(g))),
         (Dagger(ZeroMap(a, b)), ZeroMap(b, a)),
-    ]
-
-
-#: The core equational presentation (one entry per family) followed by the
-#: derived laws and the compact closed / dagger extensions.
-FAMILIES: tuple[AxiomFamily, ...] = (
-    AxiomFamily("category-laws", _ALL, _f_category),
-    AxiomFamily("tensor-functorial", _ALL, _f_tensor_functor),
-    AxiomFamily("oplus-functorial", _ALL, _f_oplus_functor),
-    AxiomFamily("hom-functorial", _SMCB, _f_hom_functor),
-    AxiomFamily("associator", _ALL, _f_associator),
-    AxiomFamily("unitor", _ALL, _f_unitor),
-    AxiomFamily("symmetry", _ALL, _f_symmetry),
-    AxiomFamily("curry-natural", _SMCB, _f_curry_natural),
-    AxiomFamily("uncurry-natural", _SMCB, _f_uncurry_natural),
-    AxiomFamily("injection-natural", _ALL, _f_injection_natural),
-    AxiomFamily("projection-natural", _ALL, _f_projection_natural),
-    AxiomFamily("adjunction-triangles", _SMCB, _f_adjunction_triangles),
-    AxiomFamily("proj-inj-identity", _ALL, _f_proj_inj_identity),
-    AxiomFamily("proj-inj-zero", _ALL, _f_proj_inj_zero),
-    AxiomFamily("biproduct-resolution", _ALL, _f_biproduct_resolution),
-    AxiomFamily("sum-monoid", _ALL, _f_sum_monoid),
-    AxiomFamily("sum-distributes", _ALL, _f_sum_distributes),
-    AxiomFamily("zero-absorbs", _ALL, _f_zero_absorbs),
-    AxiomFamily("pentagon", _ALL, _f_pentagon),
-    AxiomFamily("unit-coherence", _ALL, _f_unit_coherence),
-    AxiomFamily("hexagon", _ALL, _f_hexagon),
-    AxiomFamily("zero-endo-identity", _ALL, _f_zero_endo),
-    AxiomFamily("curry-dinatural", _SMCB, _f_curry_dinatural),
-    AxiomFamily("uncurry-dinatural", _SMCB, _f_uncurry_dinatural),
-    AxiomFamily("tensor-distributes", _ALL, _f_tensor_distributes),
-    AxiomFamily("hom-distributes", _SMCB, _f_hom_distributes),
-    AxiomFamily("tensor-zero", _ALL, _f_tensor_zero),
-    AxiomFamily("hom-zero", _SMCB, _f_hom_zero),
-    AxiomFamily("compact-triangles", _CC, _f_compact_triangles),
-    AxiomFamily("dagger-involution", _DCCB, _f_dagger_involution),
-    AxiomFamily("dagger-contravariant", _DCCB, _f_dagger_contravariant),
-    AxiomFamily("dagger-tensor", _DCCB, _f_dagger_tensor),
-    AxiomFamily("dagger-structure", _DCCB, _f_dagger_structure),
-    AxiomFamily("dagger-compact-unit", _DCCB, _f_dagger_compact_unit),
-    AxiomFamily("dagger-biproduct", _DCCB, _f_dagger_biproduct),
-    AxiomFamily("dagger-sum", _DCCB, _f_dagger_sum),
+    ]),
 )
 
 #: Names of the core equational families checked by the smcb battery.
