@@ -48,9 +48,14 @@ _TOO_DEEP = "term nests too deeply"
 @contextmanager
 def _depth_guard(where: str | None):
     """Report a term nested past the recursion limit as a `CliError` that
-    names `where` (`FILE:LINE`, or None for an inline expression)."""
+    names `where` (`FILE:LINE`, or None for an inline expression); with a
+    `where`, any other language error is reported there too."""
     try:
         yield
+    except LangError as e:
+        if where is None or isinstance(e, CliError):
+            raise
+        raise CliError(f"{where}: {e}") from None
     except RecursionError:
         raise CliError(f"{where}: {_TOO_DEEP}" if where else _TOO_DEEP) from None
 

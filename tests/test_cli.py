@@ -246,6 +246,27 @@ def test_normalize_rejects_non_smcb(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_type_mismatch_names_file_line(tmp_path, capsys, fmt):
+    path = write(tmp_path, "cmp.cob", "mode smcb\ncheck id[p] = id[q]\n")
+    code, out, err = run(capsys, "check", "--format", fmt, path)
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}:2: cannot compare p -> p with q -> q\n"
+
+
+@pytest.mark.parametrize("command", ["check", "normalize"])
+def test_directive_error_names_file_line(tmp_path, capsys, command):
+    # the error a directive raises after parsing names its line; the same
+    # error for an inline expression has no place to name
+    path = write(tmp_path, "eta.cob", "mode ccb\nnormalize eta[p]\n")
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}:2: unary eta/eps not allowed in smcb mode\n"
+    code, out, err = run(capsys, "normalize", "eta[p]", "--mode", "ccb")
+    assert (code, out) == (3, "")
+    assert err == "error: unary eta/eps not allowed in smcb mode\n"
+
+
 def test_console_script_deterministic_across_processes(tmp_path):
     import subprocess
     import sys
