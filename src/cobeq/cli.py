@@ -45,19 +45,29 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*$")
 _TOO_DEEP = "term nests too deeply"
 
 
+def _located(e: LangError | RecursionError, where: str | None) -> LangError:
+    """The error to report for `e`, raised by the query at `where` (`FILE:LINE`,
+    or None for an inline expression): a `CliError` that names `where`, and a
+    parse error's column after it.  An error that cannot name a `where`, or
+    is a `CliError` already, stays as it is, except that a term nested past
+    the recursion limit always becomes a `CliError`."""
+    if isinstance(e, RecursionError):
+        return CliError(f"{where}: {_TOO_DEEP}" if where else _TOO_DEEP)
+    if where is None or isinstance(e, CliError):
+        return e
+    if isinstance(e, ParseError) and e.pos is not None:
+        return CliError(f"{where}:{e.pos + 1}: {e.message}")
+    return CliError(f"{where}: {e}")
+
+
 @contextmanager
 def _depth_guard(where: str | None):
-    """Report a term nested past the recursion limit as a `CliError` that
-    names `where` (`FILE:LINE`, or None for an inline expression); with a
-    `where`, any other language error is reported there too."""
+    """Raise a language error or RecursionError of the query at `where` as
+    `_located` reports it."""
     try:
         yield
-    except LangError as e:
-        if where is None or isinstance(e, CliError):
-            raise
-        raise CliError(f"{where}: {e}") from None
-    except RecursionError:
-        raise CliError(f"{where}: {_TOO_DEEP}" if where else _TOO_DEEP) from None
+    except (LangError, RecursionError) as e:
+        raise _located(e, where) from None
 
 
 @dataclass
@@ -175,15 +185,8 @@ def load_query_file(path: str, default_mode: Mode) -> QueryFile:
                                             obj=parse(parse_object, rest, at)))
             else:
                 raise ParseError(f"unknown statement {head!r}")
-        except CliError:
-            raise
-        except ParseError as e:
-            col = f":{e.pos + 1}" if e.pos is not None else ""
-            raise CliError(f"{path}:{ln}{col}: {e.message}") from None
-        except LangError as e:
-            raise CliError(f"{path}:{ln}: {e}") from None
-        except RecursionError:
-            raise CliError(f"{path}:{ln}: {_TOO_DEEP}") from None
+        except (LangError, RecursionError) as e:
+            raise _located(e, f"{path}:{ln}") from None
         saw_statement = True
     return QueryFile(path, mode, defs, directives)
 

@@ -5,11 +5,17 @@ The rewrites implement single equational steps (unit insertion, functoriality
 fusion, naturality slides, triangle and biproduct laws, distributivity), so a
 chain of them applied to a seed term yields a pair of known-equal terms
 without consulting the decision procedure under test.
+
+Each draw picks from a list of the builders themselves: node classes, or
+small functions for the options that draw further.  The order, repeats and
+conditions of each list fix what every seed draws, and so pin the axiom
+battery, the seeded test corpora and the benchmark inputs.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Callable
 
 from .biproduct import is_proper
@@ -28,79 +34,50 @@ _LEAVES = (Id, Id, Alpha, AlphaInv, Lambda, LambdaInv, Sigma, Inj1, Inj2,
            Proj1, Proj2, ZeroMap)
 
 
+@cache
+def _object_leaves(gens: tuple[str, ...]) -> tuple[Obj, ...]:
+    """The leaves `random_object` draws from; each generator twice."""
+    return (*map(Gen, gens),) * 2 + (Unit(), Zero())
+
+
 def random_object(rng: random.Random, mode: Mode = Mode.SMCB, depth: int = 2,
                   gens: tuple[str, ...] = DEFAULT_GENS) -> Obj:
     if depth <= 0 or rng.random() < 0.35:
-        leaf = rng.choice(list(gens) * 2 + ["I", "0"])
-        if leaf == "I":
-            return Unit()
-        if leaf == "0":
-            return Zero()
-        return Gen(leaf)
-    if mode is Mode.SMCB:
-        kind = rng.choice(("tensor", "oplus", "hom"))
-    else:
-        kind = rng.choice(("tensor", "oplus", "dual"))
-    if kind == "dual":
-        return Dual(random_object(rng, mode, depth - 1, gens))
-    l = random_object(rng, mode, depth - 1, gens)
-    r = random_object(rng, mode, depth - 1, gens)
-    return Tensor(l, r) if kind == "tensor" else (
-        Oplus(l, r) if kind == "oplus" else Hom(l, r))
+        return rng.choice(_object_leaves(gens))
+    kind = rng.choice((Tensor, Oplus, Hom) if mode is Mode.SMCB else (Tensor, Oplus, Dual))
+    return kind(*[random_object(rng, mode, depth - 1, gens) for _ in kind._objs])
+
+
+#: the builders `same_type_variant` draws from, given `f` and its endpoints
+_VARIANTS = (lambda f, a, b: f, lambda f, a, b: ZeroMap(a, b),
+             lambda f, a, b: Plus(f, ZeroMap(a, b)),
+             lambda f, a, b: Compose(f, Id(a)), lambda f, a, b: Compose(Id(b), f),
+             lambda f, a, b: Plus(f, f))
 
 
 def same_type_variant(rng: random.Random, f: Arrow) -> Arrow:
     """Another term with the same source and target as `f`."""
-    a, b = infer_type(f)
-    pick = rng.randrange(6)
-    if pick == 0:
-        return f
-    if pick == 1:
-        return ZeroMap(a, b)
-    if pick == 2:
-        return Plus(f, ZeroMap(a, b))
-    if pick == 3:
-        return Compose(f, Id(a))
-    if pick == 4:
-        return Compose(Id(b), f)
-    return Plus(f, f)
+    return _VARIANTS[rng.randrange(6)](f, *infer_type(f))
 
 
 def random_arrow(rng: random.Random, mode: Mode = Mode.SMCB, depth: int = 2,
                  obj_depth: int = 2, gens: tuple[str, ...] = DEFAULT_GENS) -> Arrow:
     """A random well-typed term legal for `mode` (sugar kinds included)."""
-    ro = lambda: random_object(rng, mode, rng.randint(0, obj_depth), gens)
     if depth <= 0 or rng.random() < 0.3:
         gen = rng.choice(_LEAVES + ((Eta, Eps) if mode is Mode.SMCB else (EtaC, EpsC)))
-        return gen(*[ro() for _ in gen._objs])
-    kinds = ["compose", "compose", "plus", "tensor", "oplus"]
+        return gen(*[random_object(rng, mode, rng.randint(0, obj_depth), gens)
+                     for _ in gen._objs])
+    sub = lambda: random_arrow(rng, mode, depth - 1, obj_depth, gens)
+    on = lambda a: random_arrow_with_source(rng, a, mode, depth - 1, obj_depth, gens)
+    kinds = [lambda: _then(sub(), on)] * 2 + [
+        lambda: _plus_variant(rng, sub()), lambda: TensorMap(sub(), sub()),
+        lambda: OplusMap(sub(), sub())]
     if mode is Mode.SMCB:
-        kinds += ["whisker", "hom"]
+        kinds += [lambda: Whisker(random_object(rng, mode, 1, gens), sub()),
+                  lambda: HomMap(sub(), sub())]
     if mode is Mode.DCCB:
-        kinds += ["dagger", "dagger"]
-    match rng.choice(kinds):
-        case "compose":
-            f = random_arrow(rng, mode, depth - 1, obj_depth, gens)
-            g = random_arrow_with_source(rng, infer_type(f)[1], mode,
-                                         depth - 1, obj_depth, gens)
-            return Compose(g, f)
-        case "plus":
-            f = random_arrow(rng, mode, depth - 1, obj_depth, gens)
-            return Plus(f, same_type_variant(rng, f))
-        case "tensor":
-            return TensorMap(random_arrow(rng, mode, depth - 1, obj_depth, gens),
-                             random_arrow(rng, mode, depth - 1, obj_depth, gens))
-        case "oplus":
-            return OplusMap(random_arrow(rng, mode, depth - 1, obj_depth, gens),
-                            random_arrow(rng, mode, depth - 1, obj_depth, gens))
-        case "whisker":
-            return Whisker(random_object(rng, mode, 1, gens),
-                           random_arrow(rng, mode, depth - 1, obj_depth, gens))
-        case "hom":
-            return HomMap(random_arrow(rng, mode, depth - 1, obj_depth, gens),
-                          random_arrow(rng, mode, depth - 1, obj_depth, gens))
-        case _:
-            return Dagger(random_arrow(rng, mode, depth - 1, obj_depth, gens))
+        kinds += [lambda: Dagger(sub())] * 2
+    return rng.choice(kinds)()
 
 
 def random_arrow_with_source(rng: random.Random, src: Obj,
@@ -109,116 +86,65 @@ def random_arrow_with_source(rng: random.Random, src: Obj,
                              gens: tuple[str, ...] = DEFAULT_GENS) -> Arrow:
     """A random well-typed term whose source is exactly `src`."""
     ro = lambda: random_object(rng, mode, rng.randint(0, obj_depth), gens)
-    options = ["id", "id", "zero", "inj1", "inj2", "lambdainv"]
+    on = lambda a: random_arrow_with_source(rng, a, mode, depth - 1, obj_depth, gens)
+    options = [lambda: Id(src)] * 2 + [
+        lambda: ZeroMap(src, ro()), lambda: Inj1(src, ro()),
+        lambda: Inj2(ro(), src), lambda: LambdaInv(src)]
     if mode is Mode.SMCB:
-        options.append("eta")
+        options.append(lambda: Eta(ro(), src))
     if mode is not Mode.SMCB and src == Unit():
-        options.append("etac")
+        options.append(lambda: EtaC(ro()))
     match src:
         case Tensor(x, y):
-            options += ["sigma", "tensormap"]
+            options += [lambda: Sigma(x, y), lambda: TensorMap(on(x), on(y))]
             if isinstance(y, Tensor):
-                options.append("alpha")
+                options.append(lambda: Alpha(x, y.left, y.right))
             if isinstance(x, Tensor):
-                options.append("alphainv")
+                options.append(lambda: AlphaInv(x.left, x.right, y))
             if x == Unit():
-                options.append("lambda")
+                options.append(lambda: Lambda(y))
             if mode is Mode.SMCB and isinstance(y, Hom) and y.left == x:
-                options.append("eps")
+                options.append(lambda: Eps(x, y.right))
             if mode is not Mode.SMCB and y == Dual(x):
-                options.append("epsc")
+                options.append(lambda: EpsC(x))
         case Oplus(x, y):
-            options += ["proj1", "proj2", "oplusmap"]
-        case Hom(x, y):
-            if mode is Mode.SMCB:
-                options.append("whisker")
+            options += [lambda: Proj1(x, y), lambda: Proj2(x, y),
+                        lambda: OplusMap(on(x), on(y))]
+        case Hom(x, y) if mode is Mode.SMCB:
+            options.append(lambda: Whisker(x, on(y)))
     if depth > 0:
-        options += ["compose", "compose", "plus"]
-    match rng.choice(options):
-        case "id":
-            return Id(src)
-        case "zero":
-            return ZeroMap(src, ro())
-        case "inj1":
-            return Inj1(src, ro())
-        case "inj2":
-            return Inj2(ro(), src)
-        case "lambdainv":
-            return LambdaInv(src)
-        case "eta":
-            return Eta(ro(), src)
-        case "etac":
-            return EtaC(ro())
-        case "sigma":
-            return Sigma(src.left, src.right)
-        case "alpha":
-            return Alpha(src.left, src.right.left, src.right.right)
-        case "alphainv":
-            return AlphaInv(src.left.left, src.left.right, src.right)
-        case "lambda":
-            return Lambda(src.right)
-        case "eps":
-            return Eps(src.left, src.right.right)
-        case "epsc":
-            return EpsC(src.left)
-        case "proj1":
-            return Proj1(src.left, src.right)
-        case "proj2":
-            return Proj2(src.left, src.right)
-        case "tensormap":
-            return TensorMap(
-                random_arrow_with_source(rng, src.left, mode, depth - 1, obj_depth, gens),
-                random_arrow_with_source(rng, src.right, mode, depth - 1, obj_depth, gens))
-        case "oplusmap":
-            return OplusMap(
-                random_arrow_with_source(rng, src.left, mode, depth - 1, obj_depth, gens),
-                random_arrow_with_source(rng, src.right, mode, depth - 1, obj_depth, gens))
-        case "whisker":
-            return Whisker(src.left,
-                           random_arrow_with_source(rng, src.right, mode,
-                                                    depth - 1, obj_depth, gens))
-        case "plus":
-            f = random_arrow_with_source(rng, src, mode, depth - 1, obj_depth, gens)
-            return Plus(f, same_type_variant(rng, f))
-        case _:
-            f = random_arrow_with_source(rng, src, mode, depth - 1, obj_depth, gens)
-            g = random_arrow_with_source(rng, infer_type(f)[1], mode,
-                                         depth - 1, obj_depth, gens)
-            return Compose(g, f)
+        options += [lambda: _then(on(src), on)] * 2 + [
+            lambda: _plus_variant(rng, on(src))]
+    return rng.choice(options)()
+
+
+def _then(f: Arrow, on: Callable[[Obj], Arrow]) -> Arrow:
+    """`f` followed by the arrow that `on` draws out of its target."""
+    return Compose(on(infer_type(f)[1]), f)
+
+
+def _plus_variant(rng: random.Random, f: Arrow) -> Arrow:
+    """`f` plus a `same_type_variant` of it."""
+    return Plus(f, same_type_variant(rng, f))
+
+
+#: arrows `random_proper_arrow` draws before it gives up
+_PROPER_TRIES = 200
 
 
 def random_proper_arrow(rng: random.Random, mode: Mode = Mode.SMCB,
-                        depth: int = 2, obj_depth: int = 2,
-                        gens: tuple[str, ...] = DEFAULT_GENS,
-                        tries: int = 200) -> Arrow:
+                        depth: int = 2, obj_depth: int = 2) -> Arrow:
     """A random term whose endpoints are both proper."""
-    for _ in range(tries):
-        f = random_arrow(rng, mode, depth, obj_depth, gens)
+    for _ in range(_PROPER_TRIES):
+        f = random_arrow(rng, mode, depth, obj_depth)
         a, b = infer_type(f)
         if is_proper(a) and is_proper(b):
             return f
-    return Id(Gen(gens[0]))
+    return Id(Gen(DEFAULT_GENS[0]))
 
 
 # ---------------------------------------------------------------------------
 # Term positions
-
-
-def arrow_positions(t: Arrow) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    stack: list[tuple[tuple[int, ...], Arrow]] = [((), t)]
-    while stack:
-        path, x = stack.pop()
-        out.append(path)
-        for i, k in enumerate(arrow_children(x)):
-            stack.append((path + (i,), k))
-    return sorted(out)
-
-
-def subterm_at(t: Arrow, path: tuple[int, ...]) -> Arrow:
-    for i in path:
-        t = arrow_children(t)[i]
-    return t
 
 
 def replace_at(t: Arrow, path: tuple[int, ...], new: Arrow) -> Arrow:
@@ -464,12 +390,17 @@ def rewrite_once(rng: random.Random, t: Arrow, mode: Mode = Mode.SMCB) -> Arrow 
     rules = [r for r in RULES
              if mode is Mode.SMCB or r not in _SMCB_ONLY]
     candidates = []
-    for path in arrow_positions(t):
-        sub = subterm_at(t, path)
+    # positions in pre-order, children in field order (the sorted order of
+    # their paths): the order of `candidates` fixes what each seed draws
+    stack = [((), t)]
+    while stack:
+        path, sub = stack.pop()
         for rule in rules:
             out = rule(rng, mode, sub)
             if out is not None and out != sub:
                 candidates.append((path, out))
+        kids = arrow_children(sub)
+        stack += [(path + (i,), kids[i]) for i in reversed(range(len(kids)))]
     if not candidates:
         return None
     path, out = candidates[rng.randrange(len(candidates))]
@@ -478,10 +409,9 @@ def rewrite_once(rng: random.Random, t: Arrow, mode: Mode = Mode.SMCB) -> Arrow 
 
 def random_equal_pair(rng: random.Random, steps: int,
                       mode: Mode = Mode.SMCB, depth: int = 2,
-                      obj_depth: int = 2,
-                      gens: tuple[str, ...] = DEFAULT_GENS) -> tuple[Arrow, Arrow]:
+                      obj_depth: int = 2) -> tuple[Arrow, Arrow]:
     """A pair of terms related by up to `steps` axiom steps; endpoints proper."""
-    seed = random_proper_arrow(rng, mode, depth, obj_depth, gens)
+    seed = random_proper_arrow(rng, mode, depth, obj_depth)
     out = seed
     for _ in range(steps):
         nxt = rewrite_once(rng, out, mode)
