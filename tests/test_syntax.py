@@ -15,6 +15,7 @@ from cobeq import (
     expand_derived, infer_type, parse_arrow, parse_object, render_arrow,
     render_object, render_text,
 )
+from cobeq import syntax
 from cobeq.cli import main
 from cobeq.generate import random_arrow, random_object
 from cobeq.syntax import (
@@ -428,6 +429,61 @@ def test_object_fields_in_declaration_order():
     for a in ONE_OF_EACH_OBJECT:
         assert object_children(a) == _fields_of_kind(a, Obj)
     assert object_children(Hom(Q, P)) == (Q, P)
+
+
+def _parse_any(text, sort):
+    """The term or formula of `text` as the parser builds it, in no dialect
+    and without type checking, so ill-typed terms round-trip too."""
+    p = syntax._Parser(tokenize(text), Mode.SMCB, {})
+    t = p.expr(syntax._ARROW_OPS if sort is Arrow else syntax._OBJ_OPS)
+    p.expect_eof()
+    return t
+
+
+def test_every_kind_keeps_the_node_contract():
+    for t in ONE_OF_EACH_ARROW + ONE_OF_EACH_OBJECT:
+        values = [getattr(t, f) for f in t.__match_args__]
+        rebuilt = type(t)(*values)
+        assert rebuilt == t and hash(rebuilt) == hash(t) and rebuilt is not t
+        parsed = _parse_any(render_text(t), Arrow if isinstance(t, Arrow) else Obj)
+        assert type(parsed) is type(t)
+        assert parsed == t and hash(parsed) == hash(t)
+        for f, v in zip(t.__match_args__, values):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, f, v)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(t, f)
+            assert getattr(t, f) is v
+        assert not hasattr(t, "__dict__")
+    assert Gen(name="p") == Gen("p") and Compose(before=G, after=F) == Compose(F, G)
+    assert repr(Compose(Id(P), Whisker(Dual(Q), Sigma(Unit(), R)))) == (
+        "Compose(after=Id(obj=Gen(name='p')), before=Whisker(obj=Dual(inner=Gen("
+        "name='q')), body=Sigma(a=Unit(), b=Gen(name='r'))))")
+
+
+def test_every_generator_typing_rule():
+    PQ, QP = Tensor(P, Q), Tensor(Q, P)
+    expected = {
+        Id(P): (P, P),
+        Alpha(P, Q, R): (Tensor(P, Tensor(Q, R)), Tensor(PQ, R)),
+        AlphaInv(P, Q, R): (Tensor(PQ, R), Tensor(P, Tensor(Q, R))),
+        Lambda(P): (Tensor(Unit(), P), P),
+        LambdaInv(P): (P, Tensor(Unit(), P)),
+        Sigma(P, Q): (PQ, QP),
+        Eta(P, Q): (Q, Hom(P, PQ)),
+        Eps(P, Q): (Tensor(P, Hom(P, Q)), Q),
+        EtaC(P): (Unit(), Tensor(Dual(P), P)),
+        EpsC(P): (Tensor(P, Dual(P)), Unit()),
+        Inj1(P, Q): (P, Oplus(P, Q)),
+        Inj2(P, Q): (Q, Oplus(P, Q)),
+        Proj1(P, Q): (Oplus(P, Q), P),
+        Proj2(P, Q): (Oplus(P, Q), Q),
+        ZeroMap(P, Q): (P, Q),
+    }
+    assert {type(t) for t in expected} == {
+        type(t) for t in ONE_OF_EACH_ARROW if not arrow_children(t)}
+    for t, ty in expected.items():
+        assert infer_type(t) == ty
 
 
 @pytest.mark.parametrize("text,mode,kind", [
