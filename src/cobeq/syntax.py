@@ -1,7 +1,9 @@
 """Syntax of the diagram language: object formulas, typed arrow terms,
 parsing, printing, type inference, and expansion of derived forms.
 
-Everything here is immutable and pure.  Three dialects are supported (see
+Everything here is immutable and pure.  Each node kind is declared in one
+`_kind` row: its object fields, then its arrow fields and, for a generator,
+its keyword and typing rule.  Three dialects are supported (see
 `Mode`); the trees themselves are mode-agnostic, legality is enforced by the
 parsers and by `check_mode` / `check_object_mode`.  Each `parse_arrow` or
 `parse_object` call builds every distinct subterm once, through an intern
@@ -12,9 +14,9 @@ one object, hashed as it is built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 
 class Mode(Enum):
@@ -52,8 +54,9 @@ class ModeViolation(LangError):
 
 
 class _Node:
-    """Base of object and arrow nodes: slotted frozen dataclasses whose
-    structural hash is computed once and then read from a slot.
+    """Base of object and arrow nodes: slotted and immutable, equal when
+    they are of one kind with equal fields, with a structural hash that is
+    computed once and then read from a slot.
 
     The class name is part of the hash, so nodes of different kinds with
     equal fields (`Tensor(p,q)` and `Oplus(p,q)`) do not collide.  Writing
@@ -83,36 +86,73 @@ class _Node:
             h = self._h
         return h
 
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild a node through its constructor, since the
+        # frozen `__setattr__` refuses the default restoring of slots
+        return type(self), tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
 
 #: surface keyword of each generator -> {number of object arguments: class}
 _KEYWORDS: dict[str, dict[int, type]] = {}
 
+#: the constructor and equality of one kind, written out per kind as
+#: `dataclasses` writes them: methods shared by all kinds that loop over the
+#: fields construct and compare several times slower.  `_set_<field>` stores
+#: a field through its slot's descriptor, past the frozen `__setattr__`.
+_METHODS = """
+def __init__(self, {args}):
+    {sets}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+"""
 
-def _node(cls=None, *, kw: str | None = None):
-    """Declare a term node: a frozen, slotted dataclass with a cached hash.
 
-    The names of its object fields and of its arrow fields are recorded once,
-    in declaration order, in `_objs` and `_arrows`; the tree helpers, the
-    parser and the printer read them instead of naming each kind.  A
-    generator passes its keyword `kw`; its arity is its number of object
-    fields, so `eta[a]` and `eta[a,b]` are two classes under one keyword.
+def _kind(base: type, name: str, objs: str = "", arrows: str = "", *,
+          kw: str | None = None, ty: Callable[..., tuple[Obj, Obj]] | None = None,
+          atom: str | None = None) -> type:
+    """Declare a term-node kind: its object fields, then its arrow fields,
+    each a space-separated list in constructor order.  A generator gives its
+    keyword `kw` and its typing rule `ty`, from its object fields to
+    `(source, target)`; its arity is its number of object fields, so
+    `eta[a]` and `eta[a,b]` are two kinds under one keyword.  `atom` names
+    a first field that holds no term, a generator object's identifier.
+
+    The names of the object and the arrow fields are kept in `_objs` and
+    `_arrows`; the tree helpers, the parser and the printer read them
+    instead of naming each kind.
     """
-
-    def declare(cls):
-        cls = dataclass(frozen=True, slots=True)(cls)
-        cls.__hash__ = _Node.__hash__
-        # annotations are strings here (`from __future__ import annotations`)
-        cls._objs = tuple(f.name for f in fields(cls) if f.type == "Obj")
-        cls._arrows = tuple(f.name for f in fields(cls) if f.type == "Arrow")
-        # `rebuild_arrow` passes the objects, then the arrows, positionally
-        if cls._arrows and cls.__match_args__ != cls._objs + cls._arrows:
-            raise TypeError(f"{cls.__name__}: object fields must come first")
-        cls._kw = kw
-        if kw is not None:
-            _KEYWORDS.setdefault(kw, {})[len(cls._objs)] = cls
-        return cls
-
-    return declare if cls is None else declare(cls)
+    objs_, arrows_ = tuple(objs.split()), tuple(arrows.split())
+    fields = ((atom,) if atom else ()) + objs_ + arrows_
+    ns: dict = {}
+    exec(_METHODS.format(
+        args=", ".join(fields),
+        sets="\n    ".join(f"_set_{f}(self, {f})" for f in fields) or "pass",
+        mine="".join(f"self.{f}, " for f in fields),
+        theirs="".join(f"other.{f}, " for f in fields)), ns)
+    cls = type(name, (base,), {
+        "__slots__": fields, "__match_args__": fields,
+        "__init__": ns["__init__"], "__eq__": ns["__eq__"],
+        # a class that defines `__eq__` otherwise gets `__hash__ = None`
+        "__hash__": _Node.__hash__,
+        "_objs": objs_, "_arrows": arrows_, "_kw": kw,
+        "_rule": None if ty is None else staticmethod(ty),
+    })
+    ns.update({f"_set_{f}": getattr(cls, f).__set__ for f in fields})
+    if kw is not None:
+        _KEYWORDS.setdefault(kw, {})[len(objs_)] = cls
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -128,48 +168,14 @@ class Obj(_Node):
         return render_object(self)
 
 
-@_node
-class Gen(Obj):
-    """A generator: any identifier that is not a reserved word."""
-
-    name: str
-
-
-@_node
-class Unit(Obj):
-    """The tensor unit, written `I`."""
-
-
-@_node
-class Zero(Obj):
-    """The zero object, written `0`."""
-
-
-@_node
-class Tensor(Obj):
-    left: Obj
-    right: Obj
-
-
-@_node
-class Oplus(Obj):
-    left: Obj
-    right: Obj
-
-
-@_node
-class Hom(Obj):
-    """Internal hom `left -o right` (smcb only)."""
-
-    left: Obj
-    right: Obj
-
-
-@_node
-class Dual(Obj):
-    """Dual object `inner*` (ccb/dccb only)."""
-
-    inner: Obj
+# a generator: any identifier that is not a reserved word
+Gen = _kind(Obj, "Gen", atom="name")
+Unit = _kind(Obj, "Unit")  # the tensor unit, written `I`
+Zero = _kind(Obj, "Zero")  # the zero object, written `0`
+Tensor = _kind(Obj, "Tensor", "left right")
+Oplus = _kind(Obj, "Oplus", "left right")
+Hom = _kind(Obj, "Hom", "left right")  # internal hom `left -o right` (smcb)
+Dual = _kind(Obj, "Dual", "inner")  # dual object `inner*` (ccb/dccb)
 
 
 def object_children(a: Obj) -> tuple[Obj, ...]:
@@ -200,173 +206,38 @@ class Arrow(_Node):
         return render_arrow(self)
 
 
-@_node(kw="id")
-class Id(Arrow):
-    """id[a] : a -> a"""
+# generators, each with its typing rule; binary eta/eps are smcb's, unary
+# eta/eps ccb's and dccb's
+Id = _kind(Arrow, "Id", "obj", kw="id", ty=lambda a: (a, a))
+Alpha = _kind(Arrow, "Alpha", "a b c", kw="alpha",
+              ty=lambda a, b, c: (Tensor(a, Tensor(b, c)), Tensor(Tensor(a, b), c)))
+AlphaInv = _kind(Arrow, "AlphaInv", "a b c", kw="alpha'",
+                 ty=lambda a, b, c: (Tensor(Tensor(a, b), c), Tensor(a, Tensor(b, c))))
+Lambda = _kind(Arrow, "Lambda", "a", kw="lambda", ty=lambda a: (Tensor(Unit(), a), a))
+LambdaInv = _kind(Arrow, "LambdaInv", "a", kw="lambda'",
+                  ty=lambda a: (a, Tensor(Unit(), a)))
+Sigma = _kind(Arrow, "Sigma", "a b", kw="sigma",
+              ty=lambda a, b: (Tensor(a, b), Tensor(b, a)))
+Eta = _kind(Arrow, "Eta", "a b", kw="eta", ty=lambda a, b: (b, Hom(a, Tensor(a, b))))
+Eps = _kind(Arrow, "Eps", "a b", kw="eps", ty=lambda a, b: (Tensor(a, Hom(a, b)), b))
+EtaC = _kind(Arrow, "EtaC", "a", kw="eta", ty=lambda a: (Unit(), Tensor(Dual(a), a)))
+EpsC = _kind(Arrow, "EpsC", "a", kw="eps", ty=lambda a: (Tensor(a, Dual(a)), Unit()))
+Inj1 = _kind(Arrow, "Inj1", "a b", kw="inj1", ty=lambda a, b: (a, Oplus(a, b)))
+Inj2 = _kind(Arrow, "Inj2", "a b", kw="inj2", ty=lambda a, b: (b, Oplus(a, b)))
+Proj1 = _kind(Arrow, "Proj1", "a b", kw="proj1", ty=lambda a, b: (Oplus(a, b), a))
+Proj2 = _kind(Arrow, "Proj2", "a b", kw="proj2", ty=lambda a, b: (Oplus(a, b), b))
+ZeroMap = _kind(Arrow, "ZeroMap", "src tgt", kw="zero", ty=lambda a, b: (a, b))
 
-    obj: Obj
-
-
-@_node(kw="alpha")
-class Alpha(Arrow):
-    """alpha[a,b,c] : a (x) (b (x) c) -> (a (x) b) (x) c"""
-
-    a: Obj
-    b: Obj
-    c: Obj
-
-
-@_node(kw="alpha'")
-class AlphaInv(Arrow):
-    """alpha'[a,b,c] : (a (x) b) (x) c -> a (x) (b (x) c)"""
-
-    a: Obj
-    b: Obj
-    c: Obj
-
-
-@_node(kw="lambda")
-class Lambda(Arrow):
-    """lambda[a] : I (x) a -> a"""
-
-    a: Obj
-
-
-@_node(kw="lambda'")
-class LambdaInv(Arrow):
-    """lambda'[a] : a -> I (x) a"""
-
-    a: Obj
-
-
-@_node(kw="sigma")
-class Sigma(Arrow):
-    """sigma[a,b] : a (x) b -> b (x) a"""
-
-    a: Obj
-    b: Obj
-
-
-@_node(kw="eta")
-class Eta(Arrow):
-    """eta[a,b] : b -> a -o (a (x) b)   (smcb)"""
-
-    a: Obj
-    b: Obj
-
-
-@_node(kw="eps")
-class Eps(Arrow):
-    """eps[a,b] : a (x) (a -o b) -> b   (smcb)"""
-
-    a: Obj
-    b: Obj
-
-
-@_node(kw="eta")
-class EtaC(Arrow):
-    """eta[a] : I -> a* (x) a   (ccb; sugar in dccb)"""
-
-    a: Obj
-
-
-@_node(kw="eps")
-class EpsC(Arrow):
-    """eps[a] : a (x) a* -> I   (ccb/dccb)"""
-
-    a: Obj
-
-
-@_node(kw="inj1")
-class Inj1(Arrow):
-    """inj1[a,b] : a -> a (+) b"""
-
-    a: Obj
-    b: Obj
-
-
-@_node(kw="inj2")
-class Inj2(Arrow):
-    """inj2[a,b] : b -> a (+) b"""
-
-    a: Obj
-    b: Obj
-
-
-@_node(kw="proj1")
-class Proj1(Arrow):
-    """proj1[a,b] : a (+) b -> a"""
-
-    a: Obj
-    b: Obj
-
-
-@_node(kw="proj2")
-class Proj2(Arrow):
-    """proj2[a,b] : a (+) b -> b"""
-
-    a: Obj
-    b: Obj
-
-
-@_node(kw="zero")
-class ZeroMap(Arrow):
-    """zero[a,b] : a -> b"""
-
-    src: Obj
-    tgt: Obj
-
-
-@_node
-class Compose(Arrow):
-    """`after . before`, the composite running `before` first."""
-
-    after: Arrow
-    before: Arrow
-
-
-@_node
-class Plus(Arrow):
-    left: Arrow
-    right: Arrow
-
-
-@_node
-class TensorMap(Arrow):
-    left: Arrow
-    right: Arrow
-
-
-@_node
-class OplusMap(Arrow):
-    left: Arrow
-    right: Arrow
-
-
-@_node
-class Whisker(Arrow):
-    """`[a -o g]` : (a -o b) -> (a -o b') for g : b -> b'   (smcb)"""
-
-    obj: Obj
-    body: Arrow
-
-
-@_node
-class HomMap(Arrow):
-    """hom(f,g) : (a' -o b) -> (a -o b') for f : a -> a', g : b -> b'.
-
-    Derived form; `expand_derived` rewrites it into whiskers and caps.
-    """
-
-    contra: Arrow
-    cov: Arrow
-
-
-@_node
-class Dagger(Arrow):
-    """dg(f) : b -> a for f : a -> b   (dccb)"""
-
-    inner: Arrow
+# combinators, typed by `_infer` from their arrow fields
+Compose = _kind(Arrow, "Compose", "", "after before")  # `after . before`, `before` first
+Plus = _kind(Arrow, "Plus", "", "left right")
+TensorMap = _kind(Arrow, "TensorMap", "", "left right")
+OplusMap = _kind(Arrow, "OplusMap", "", "left right")
+Whisker = _kind(Arrow, "Whisker", "obj", "body")  # `[obj -o body]` (smcb)
+# `hom(contra, cov)` (smcb), a derived form that `expand_derived` rewrites
+# into whiskers and caps
+HomMap = _kind(Arrow, "HomMap", "", "contra cov")
+Dagger = _kind(Arrow, "Dagger", "", "inner")  # `dg(inner)` (dccb)
 
 
 def arrow_children(t: Arrow) -> tuple[Arrow, ...]:
@@ -460,36 +331,8 @@ def _infer(t: Arrow, path: tuple | None) -> tuple[Obj, Obj]:
     if got is not None:
         return got
     match t:
-        case Id(a):
-            ty = (a, a)
-        case Alpha(a, b, c):
-            ty = (Tensor(a, Tensor(b, c)), Tensor(Tensor(a, b), c))
-        case AlphaInv(a, b, c):
-            ty = (Tensor(Tensor(a, b), c), Tensor(a, Tensor(b, c)))
-        case Lambda(a):
-            ty = (Tensor(Unit(), a), a)
-        case LambdaInv(a):
-            ty = (a, Tensor(Unit(), a))
-        case Sigma(a, b):
-            ty = (Tensor(a, b), Tensor(b, a))
-        case Eta(a, b):
-            ty = (b, Hom(a, Tensor(a, b)))
-        case Eps(a, b):
-            ty = (Tensor(a, Hom(a, b)), b)
-        case EtaC(a):
-            ty = (Unit(), Tensor(Dual(a), a))
-        case EpsC(a):
-            ty = (Tensor(a, Dual(a)), Unit())
-        case Inj1(a, b):
-            ty = (a, Oplus(a, b))
-        case Inj2(a, b):
-            ty = (b, Oplus(a, b))
-        case Proj1(a, b):
-            ty = (Oplus(a, b), a)
-        case Proj2(a, b):
-            ty = (Oplus(a, b), b)
-        case ZeroMap(a, b):
-            ty = (a, b)
+        case Arrow(_rule=rule) if rule is not None:
+            ty = rule(*node_objects(t))
         case Compose(g, f):
             fs, ft = _infer(f, (path, "before"))
             gs, gt = _infer(g, (path, "after"))

@@ -407,7 +407,7 @@ ONE_OF_EACH_OBJECT = [
 
 
 def _fields_of_kind(node, kind):
-    values = (getattr(node, f.name) for f in dataclasses.fields(node))
+    values = (getattr(node, f) for f in node.__match_args__)
     return tuple(v for v in values if isinstance(v, kind))
 
 
