@@ -41,18 +41,24 @@ class CliError(LangError):
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*$")
 
-#: the message for a term nested past the recursion limit
-_TOO_DEEP = "term nests too deeply"
+#: the message for each resource a query can run out of: the recursion
+#: limit, which a term nested too deeply reaches, and memory
+_EXHAUSTED = {RecursionError: "term nests too deeply", MemoryError: "out of memory"}
+
+#: the errors of a query that `_located` reports
+_QUERY_ERRORS = (LangError, *_EXHAUSTED)
 
 
-def _located(e: LangError | RecursionError, where: str | None) -> LangError:
-    """The error to report for `e`, raised by the query at `where` (`FILE:LINE`,
-    or None for an inline expression): a `CliError` that names `where`, and a
-    parse error's column after it.  An error that cannot name a `where`, or
-    is a `CliError` already, stays as it is, except that a term nested past
-    the recursion limit always becomes a `CliError`."""
-    if isinstance(e, RecursionError):
-        return CliError(f"{where}: {_TOO_DEEP}" if where else _TOO_DEEP)
+def _located(e: LangError | RecursionError | MemoryError,
+             where: str | None) -> LangError:
+    """The error to report for `e`, one of `_QUERY_ERRORS`, raised by the
+    query at `where` (`FILE:LINE`, or None for an inline expression): a
+    `CliError` that names `where`, and a parse error's column after it.  An
+    error that cannot name a `where`, or is a `CliError` already, stays as it
+    is, except that running out of a resource always becomes a `CliError`."""
+    exhausted = _EXHAUSTED.get(type(e))
+    if exhausted is not None:
+        return CliError(f"{where}: {exhausted}" if where else exhausted)
     if where is None or isinstance(e, CliError):
         return e
     if isinstance(e, ParseError) and e.pos is not None:
@@ -61,12 +67,11 @@ def _located(e: LangError | RecursionError, where: str | None) -> LangError:
 
 
 @contextmanager
-def _depth_guard(where: str | None):
-    """Raise a language error or RecursionError of the query at `where` as
-    `_located` reports it."""
+def _guard(where: str | None):
+    """Raise an error of the query at `where` as `_located` reports it."""
     try:
         yield
-    except (LangError, RecursionError) as e:
+    except _QUERY_ERRORS as e:
         raise _located(e, where) from None
 
 
@@ -185,7 +190,7 @@ def load_query_file(path: str, default_mode: Mode) -> QueryFile:
                                             obj=parse(parse_object, rest, at)))
             else:
                 raise ParseError(f"unknown statement {head!r}")
-        except (LangError, RecursionError) as e:
+        except _QUERY_ERRORS as e:
             raise _located(e, f"{path}:{ln}") from None
         saw_statement = True
     return QueryFile(path, mode, defs, directives)
@@ -283,7 +288,7 @@ def _run_directives(qf: QueryFile, fmt: str) -> tuple[str, int]:
     results: list = []  # text blocks, or JSON objects when `as_json`
     saw_ne = saw_inc = False
     for d in qf.directives:
-        with _depth_guard(f"{qf.path}:{d.line}"):
+        with _guard(f"{qf.path}:{d.line}"):
             if d.kind == "check":
                 v = decide_equal(d.lhs, d.rhs, certificate=as_json)
                 saw_ne = saw_ne or v.kind == "not-equal"
@@ -324,7 +329,7 @@ def cmd_show(args) -> int:
         if not items:
             raise CliError(f"no {kind} directives in {arg}")
     else:
-        with _depth_guard(None):
+        with _guard(None):
             if kind == "decompose":
                 d = Directive(kind, 0, arg, obj=parse_object(arg, mode))
             else:
@@ -333,7 +338,7 @@ def cmd_show(args) -> int:
     as_json = args.format == "json"
     outs = []
     for where, d in items:
-        with _depth_guard(where):
+        with _guard(where):
             outs.append(_show(d, as_json, args.verbose))
     print(json.dumps(outs if len(outs) > 1 else outs[0], indent=2)
           if as_json else "\n\n".join(outs))
@@ -342,7 +347,7 @@ def cmd_show(args) -> int:
 
 def cmd_render(args) -> int:
     mode = Mode(args.mode)
-    with _depth_guard(None):
+    with _guard(None):
         dot = matrix_to_dot(interpret_arrow(parse_arrow(args.expr, mode)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -353,8 +358,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    report = axiom_suite(Mode(args.mode), object_depth=args.depth,
-                         instance_count=args.instances, seed=args.seed)
+    with _guard(None):
+        report = axiom_suite(Mode(args.mode), object_depth=args.depth,
+                             instance_count=args.instances, seed=args.seed)
     print(json.dumps(report.to_json(), indent=2) if args.format == "json"
           else report.to_text())
     return 0 if report.total_failures == 0 else 1

@@ -320,6 +320,30 @@ def test_too_deep_input_exits_3_in_every_command(tmp_path, command, inline):
     assert r.stderr == f"error: {where}term nests too deeply\n"
 
 
+@pytest.mark.parametrize("target,argv,body", [
+    ("decide_equal", ["check"], "check id[p] = id[p]"),
+    ("parse_arrow", ["check"], "check id[p] = id[p]"),
+    ("interpret_arrow", ["interpret"], "interpret id[p]"),
+    ("interpret_arrow", ["interpret", "id[p]"], None),
+    ("interpret_arrow", ["render", "id[p]"], None),
+    ("axiom_suite", ["selftest"], None),
+])
+def test_out_of_memory_exits_3_in_every_command(tmp_path, capsys, monkeypatch,
+                                                target, argv, body):
+    """A query file names the line that ran out; an inline one cannot."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"cobeq.cli.{target}", exhausted)
+    where = ""
+    if body is not None:
+        path = write(tmp_path, "q.cob", f"mode smcb\n{body}\n")
+        argv, where = argv + [path], f"{path}:2: "
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: {where}out of memory\n"  # no traceback
+
+
 def test_decompose_of_a_long_tensor_product():
     """A 15 000-factor product is parsed with every node hashed as it is
     built, so hashing it in `decompose`'s cache needs no deep recursion."""
