@@ -1,6 +1,8 @@
 import collections
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 import sys
 import zlib
@@ -459,6 +461,12 @@ def test_every_kind_keeps_the_node_contract():
     assert repr(Compose(Id(P), Whisker(Dual(Q), Sigma(Unit(), R)))) == (
         "Compose(after=Id(obj=Gen(name='p')), before=Whisker(obj=Dual(inner=Gen("
         "name='q')), body=Sigma(a=Unit(), b=Gen(name='r'))))")
+
+
+def test_nodes_pickle_and_copy():
+    t = parse_arrow("sigma[p,q] . (id[p] (x) id[q]) + zero[p (x) q, q (x) p]")
+    for again in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert again == t and hash(again) == hash(t)
 
 
 def test_every_generator_typing_rule():
