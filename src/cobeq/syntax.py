@@ -149,6 +149,7 @@ def _kind(base: type, name: str, objs: str = "", arrows: str = "", *,
         "_objs": objs_, "_arrows": arrows_, "_kw": kw,
         "_rule": None if ty is None else staticmethod(ty),
     })
+    # the methods read their setters from `ns` when called; the slots exist now
     ns.update({f"_set_{f}": getattr(cls, f).__set__ for f in fields})
     if kw is not None:
         _KEYWORDS.setdefault(kw, {})[len(objs_)] = cls
