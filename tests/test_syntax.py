@@ -374,6 +374,55 @@ def test_type_error_text_does_not_depend_on_earlier_calls():
     assert str(first.value) == str(again.value) == str(typed_sub.value) == expected
 
 
+_COMPOSE_FAILS = "id[p] . id[q]"
+_PLUS_FAILS = "id[p] + id[q]"
+_AT_COMPOSE = "cannot compose at {}: 'before' ends at q but 'after' starts at p"
+_AT_PLUS = "cannot add at {}: left is p -> p but right is q -> q"
+
+
+@pytest.mark.parametrize("text,expected", [
+    # both sides fail: `before` is typed ahead of `after`, other kinds in
+    # field order
+    (f"({_COMPOSE_FAILS}) . ({_PLUS_FAILS})", _AT_PLUS.format("before")),
+    (f"({_PLUS_FAILS}) . ({_COMPOSE_FAILS})", _AT_COMPOSE.format("before")),
+    (f"({_COMPOSE_FAILS}) + ({_PLUS_FAILS})", _AT_COMPOSE.format("left")),
+    (f"({_PLUS_FAILS}) + ({_COMPOSE_FAILS})", _AT_PLUS.format("left")),
+    (f"({_COMPOSE_FAILS}) (x) ({_PLUS_FAILS})", _AT_COMPOSE.format("left")),
+    (f"({_PLUS_FAILS}) (x) ({_COMPOSE_FAILS})", _AT_PLUS.format("left")),
+    (f"({_COMPOSE_FAILS}) (+) ({_PLUS_FAILS})", _AT_COMPOSE.format("left")),
+    (f"({_PLUS_FAILS}) (+) ({_COMPOSE_FAILS})", _AT_PLUS.format("left")),
+    (f"hom({_COMPOSE_FAILS}, {_PLUS_FAILS})", _AT_COMPOSE.format("contra")),
+    (f"hom({_PLUS_FAILS}, {_COMPOSE_FAILS})", _AT_PLUS.format("contra")),
+    # failures inside a whisker and a dagger
+    (f"[r -o {_COMPOSE_FAILS}]", _AT_COMPOSE.format("body")),
+    (f"[r (x) q -o id[r] . ({_PLUS_FAILS})]", _AT_PLUS.format("body.before")),
+    (f"dg({_COMPOSE_FAILS})", _AT_COMPOSE.format("inner")),
+    (f"dg(id[r] + ({_PLUS_FAILS}))", _AT_PLUS.format("inner.right")),
+    # one failing subterm on both sides, one object once parsed
+    (f"(id[q] . ({_COMPOSE_FAILS})) + (({_COMPOSE_FAILS}) . id[p])",
+     _AT_COMPOSE.format("left.before")),
+    (f"(({_COMPOSE_FAILS}) (x) id[r]) . (id[r] (x) ({_COMPOSE_FAILS}))",
+     _AT_COMPOSE.format("before.right")),
+    # the side conditions at the top, and under a well-typed sibling
+    ("id[p] . sigma[p,q]",
+     "cannot compose at top: 'before' ends at q (x) p but 'after' starts at p"),
+    ("sigma[p,q] + id[p (x) q]",
+     "cannot add at top: left is p (x) q -> q (x) p but right is p (x) q -> p (x) q"),
+    (f"(id[r] (x) ({_COMPOSE_FAILS})) . (sigma[p,q] . sigma[p,q] + id[p (x) q])",
+     "cannot compose at before.left: 'before' ends at q (x) p but 'after' starts at p (x) q"),
+])
+def test_first_type_error_is_pinned(text, expected):
+    def unshared(x):
+        return type(x)(*[unshared(v) if isinstance(v, (Obj, Arrow)) else v
+                         for v in (getattr(x, f) for f in x.__match_args__)])
+
+    with pytest.raises(TypeMismatch) as parsed:
+        parse_arrow(text, Mode.DCCB if "dg(" in text else Mode.SMCB)
+    with pytest.raises(TypeMismatch) as built:
+        infer_type(unshared(_parse_any(text, Arrow)))
+    assert str(parsed.value) == str(built.value) == expected
+
+
 def test_expand_derived_keeps_primitive_terms():
     t = parse_arrow("proj1[p,q] . inj1[p,q] + zero[p,p]")
     assert expand_derived(t) is t
