@@ -431,9 +431,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-#: the recursion limit during a call, since parsing, type inference and
-#: evaluation recurse over term trees.  Before 3.11 each Python call also
-#: takes C stack: under an 8 MiB stack (Python 3.10.13), parsing nested
+#: the recursion limit during a call, since the parser's nested groups,
+#: evaluation, the object folds and node equality recurse over term trees.
+#: Before 3.11 each Python call also takes C stack: under an 8 MiB stack (Python 3.10.13), parsing nested
 #: parentheses crashes the interpreter at a limit of 17500, while
 #: `decompose` of a 15,000-factor product needs a little over 15000.
 _RECURSION_LIMIT = 30000 if sys.version_info >= (3, 11) else 16000

@@ -30,8 +30,8 @@ from .syntax import (
     Alpha, AlphaInv, Arrow, Compose, Dagger, Dual, Eps, EpsC, Eta, EtaC,
     Gen, Hom, HomMap, Id, Inj1, Inj2, Lambda, LambdaInv, Mode, ModeViolation,
     Obj, Oplus, OplusMap, Plus, Proj1, Proj2, Sigma, Tensor, TensorMap, Unit,
-    Whisker, Zero, ZeroMap, check_mode, check_object_mode, expand_derived,
-    infer_type, render_arrow, render_object,
+    Whisker, Zero, ZeroMap, _fold, check_mode, check_object_mode,
+    expand_derived, infer_type, render_arrow, render_object,
 )
 
 
@@ -262,11 +262,11 @@ def normalize_syntactic(t: Arrow) -> TermMatrix:
     whisker Kronecker.  Only the smcb dialect is supported.
     """
     check_mode(t, Mode.SMCB)
-    return _norm(expand_derived(t, Mode.SMCB))
+    return _fold(expand_derived(t, Mode.SMCB), _norm)
 
 
-@cache
-def _norm(t: Arrow) -> TermMatrix:
+def _norm(t: Arrow, kids: list[TermMatrix]) -> TermMatrix:
+    """The term matrix of `t`, from those of its arrow children."""
     match t:
         case Arrow(_kw=str()):
             src, tgt = infer_type(t)
@@ -275,27 +275,27 @@ def _norm(t: Arrow) -> TermMatrix:
                 _components(tgt), _components(src),
                 {(i, j): (gen(*args),)
                  for i, j, args in generator_cells(t, _components)})
-        case Compose(g, f):
-            mg, mf = _norm(g), _norm(f)
+        case Compose():
+            mg, mf = kids
             return TermMatrix(mg.row_types, mf.col_types,
                               grid_product(mg, mf, _sums(Compose), _add_sums))
-        case Plus(l, r):
-            ml, mr = _norm(l), _norm(r)
+        case Plus():
+            ml, mr = kids
             return TermMatrix(ml.row_types, ml.col_types,
                               grid_sum(ml, mr, _add_sums))
-        case TensorMap(l, r):
-            ml, mr = _norm(l), _norm(r)
+        case TensorMap():
+            ml, mr = kids
             return TermMatrix(
                 tuple(Tensor(x, y) for x in ml.row_types for y in mr.row_types),
                 tuple(Tensor(x, y) for x in ml.col_types for y in mr.col_types),
                 grid_kron(ml.cells.items(), mr, _sums(TensorMap)))
-        case OplusMap(l, r):
-            ml, mr = _norm(l), _norm(r)
+        case OplusMap():
+            ml, mr = kids
             return TermMatrix(ml.row_types + mr.row_types,
                               ml.col_types + mr.col_types,
                               grid_dsum(ml, mr))
-        case Whisker(a, g):
-            mg, ca = _norm(g), _components(a)
+        case Whisker(a):
+            (mg,), ca = kids, _components(a)
             return TermMatrix(
                 tuple(Hom(x, y) for x in ca for y in mg.row_types),
                 tuple(Hom(x, y) for x in ca for y in mg.col_types),

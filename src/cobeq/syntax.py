@@ -2,13 +2,15 @@
 parsing, printing, type inference, and expansion of derived forms.
 
 Everything here is immutable and pure.  Each node kind is declared in one
-`_kind` row: its object fields, then its arrow fields and, for a generator,
-its keyword and typing rule.  Three dialects are supported (see
-`Mode`); the trees themselves are mode-agnostic, legality is enforced by the
-parsers and by `check_mode` / `check_object_mode`.  Each `parse_arrow` or
-`parse_object` call builds every distinct subterm once, through an intern
-table that lives as long as that parse: equal subterms of one result are
-one object, hashed as it is built.
+`_kind` row: its object fields, its arrow fields, an arrow kind's typing
+rule and a generator's keyword.  Three dialects are supported (see `Mode`);
+the trees themselves are mode-agnostic, legality is enforced by the parsers
+and by `check_mode` / `check_object_mode`.  A node's constructor sets its
+hash.  Each `parse_arrow` or `parse_object` call builds every distinct
+subterm once, through an intern table that lives as long as that parse:
+equal subterms of one result are one object.  Type inference, expansion and
+printing walk a term on an explicit stack; the parser's nested parentheses
+and `==` on equal but distinct terms take Python frames per level.
 """
 
 from __future__ import annotations
@@ -55,36 +57,18 @@ class ModeViolation(LangError):
 
 class _Node:
     """Base of object and arrow nodes: slotted and immutable, equal when
-    they are of one kind with equal fields, with a structural hash that is
-    computed once and then read from a slot.
+    they are of one kind with equal fields, with a structural hash that the
+    constructor stores in a slot: `hash((kind name, *fields))`, from the
+    fields' stored hashes.
 
     The class name is part of the hash, so nodes of different kinds with
-    equal fields (`Tensor(p,q)` and `Oplus(p,q)`) do not collide.  Writing
-    the slot is idempotent, so concurrent first calls are harmless.  The
-    parser writes it as it builds each node, from the hashes of its fields.
-    The first hash of a node built otherwise sets the slot of every node
-    below it that has none, children first, from an explicit stack, so a
-    deep term does not exhaust the recursion limit.
+    equal fields (`Tensor(p,q)` and `Oplus(p,q)`) do not collide.
     """
 
     __slots__ = ("_h",)
 
     def __hash__(self) -> int:
-        h = getattr(self, "_h", None)
-        if h is None:
-            stack = [self]
-            while stack:
-                node = stack[-1]
-                fields = [getattr(node, f) for f in node.__match_args__]
-                fresh = [x for x in fields if isinstance(x, _Node)
-                         and getattr(x, "_h", None) is None]
-                if fresh:
-                    stack += fresh
-                    continue
-                stack.pop()
-                object.__setattr__(node, "_h", hash((type(node).__name__, *fields)))
-            h = self._h
-        return h
+        return self._h
 
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
@@ -108,10 +92,11 @@ _KEYWORDS: dict[str, dict[int, type]] = {}
 #: the constructor and equality of one kind, written out per kind as
 #: `dataclasses` writes them: methods shared by all kinds that loop over the
 #: fields construct and compare several times slower.  `_set_<field>` stores
-#: a field through its slot's descriptor, past the frozen `__setattr__`.
+#: a field through its slot's descriptor, past the frozen `__setattr__`, and
+#: `_set_hash` the node's hash.
 _METHODS = """
 def __init__(self, {args}):
-    {sets}
+    {sets}_set_hash(self, hash(({name!r},{key})))
 def __eq__(self, other):
     if other.__class__ is self.__class__:
         return ({mine}) == ({theirs})
@@ -123,11 +108,13 @@ def _kind(base: type, name: str, objs: str = "", arrows: str = "", *,
           kw: str | None = None, ty: Callable[..., tuple[Obj, Obj]] | None = None,
           atom: str | None = None) -> type:
     """Declare a term-node kind: its object fields, then its arrow fields,
-    each a space-separated list in constructor order.  A generator gives its
-    keyword `kw` and its typing rule `ty`, from its object fields to
-    `(source, target)`; its arity is its number of object fields, so
-    `eta[a]` and `eta[a,b]` are two kinds under one keyword.  `atom` names
-    a first field that holds no term, a generator object's identifier.
+    each a space-separated list in constructor order.  An arrow kind gives
+    its typing rule `ty`, from its object fields, then the `(source,
+    target)` of each arrow field, to its own `(source, target)`.  A
+    generator gives its keyword `kw`; its arity is its number of object
+    fields, so `eta[a]` and `eta[a,b]` are two kinds under one keyword.
+    `atom` names a first field that holds no term, a generator object's
+    identifier.
 
     The names of the object and the arrow fields are kept in `_objs` and
     `_arrows`; the tree helpers, the parser and the printer read them
@@ -135,10 +122,10 @@ def _kind(base: type, name: str, objs: str = "", arrows: str = "", *,
     """
     objs_, arrows_ = tuple(objs.split()), tuple(arrows.split())
     fields = ((atom,) if atom else ()) + objs_ + arrows_
-    ns: dict = {}
+    ns: dict = {"_set_hash": _Node._h.__set__}
     exec(_METHODS.format(
-        args=", ".join(fields),
-        sets="\n    ".join(f"_set_{f}(self, {f})" for f in fields) or "pass",
+        args=", ".join(fields), name=name, key="".join(f" {f}," for f in fields),
+        sets="".join(f"_set_{f}(self, {f})\n    " for f in fields),
         mine="".join(f"self.{f}, " for f in fields),
         theirs="".join(f"other.{f}, " for f in fields)), ns)
     cls = type(name, (base,), {
@@ -229,16 +216,23 @@ Proj1 = _kind(Arrow, "Proj1", "a b", kw="proj1", ty=lambda a, b: (Oplus(a, b), a
 Proj2 = _kind(Arrow, "Proj2", "a b", kw="proj2", ty=lambda a, b: (Oplus(a, b), b))
 ZeroMap = _kind(Arrow, "ZeroMap", "src tgt", kw="zero", ty=lambda a, b: (a, b))
 
-# combinators, typed by `_infer` from their arrow fields
-Compose = _kind(Arrow, "Compose", "", "after before")  # `after . before`, `before` first
-Plus = _kind(Arrow, "Plus", "", "left right")
-TensorMap = _kind(Arrow, "TensorMap", "", "left right")
-OplusMap = _kind(Arrow, "OplusMap", "", "left right")
-Whisker = _kind(Arrow, "Whisker", "obj", "body")  # `[obj -o body]` (smcb)
+# combinators, each rule taking the types of the arrow fields after the
+# objects; `infer_type` checks that composed ends meet and summands agree
+Compose = _kind(Arrow, "Compose", "", "after before",  # `after . before`, `before` first
+                ty=lambda g, f: (f[0], g[1]))
+Plus = _kind(Arrow, "Plus", "", "left right", ty=lambda l, r: l)
+TensorMap = _kind(Arrow, "TensorMap", "", "left right",
+                  ty=lambda l, r: (Tensor(l[0], r[0]), Tensor(l[1], r[1])))
+OplusMap = _kind(Arrow, "OplusMap", "", "left right",
+                 ty=lambda l, r: (Oplus(l[0], r[0]), Oplus(l[1], r[1])))
+Whisker = _kind(Arrow, "Whisker", "obj", "body",  # `[obj -o body]` (smcb)
+                ty=lambda a, g: (Hom(a, g[0]), Hom(a, g[1])))
 # `hom(contra, cov)` (smcb), a derived form that `expand_derived` rewrites
 # into whiskers and caps
-HomMap = _kind(Arrow, "HomMap", "", "contra cov")
-Dagger = _kind(Arrow, "Dagger", "", "inner")  # `dg(inner)` (dccb)
+HomMap = _kind(Arrow, "HomMap", "", "contra cov",
+               ty=lambda f, g: (Hom(f[1], g[0]), Hom(f[0], g[1])))
+Dagger = _kind(Arrow, "Dagger", "", "inner",  # `dg(inner)` (dccb)
+               ty=lambda f: (f[1], f[0]))
 
 
 def arrow_children(t: Arrow) -> tuple[Arrow, ...]:
@@ -266,6 +260,27 @@ def subarrows(t: Arrow) -> Iterator[Arrow]:
         x = stack.pop()
         yield x
         stack.extend(reversed(arrow_children(x)))
+
+
+def _fold(t: Arrow, step: Callable[[Arrow, list], object]):
+    """The value at `t` of `step(x, values at x's arrow children)`: each
+    distinct subterm is stepped once, children first, from an explicit
+    stack, with a memo keyed by `id(x)`, since a node key compares by the
+    recursive `__eq__`."""
+    memo, stack = {}, [t]
+    while stack:
+        x = stack[-1]
+        if id(x) in memo:
+            stack.pop()
+            continue
+        kids = arrow_children(x)
+        todo = [k for k in kids if id(k) not in memo]
+        if todo:
+            stack += reversed(todo)
+            continue
+        stack.pop()
+        memo[id(x)] = step(x, [memo[id(k)] for k in kids])
+    return memo[id(t)]
 
 
 #: dialect -> {node kind it rejects: the `ModeViolation` message}.  In dccb,
@@ -309,72 +324,49 @@ def infer_type(t: Arrow) -> tuple[Obj, Obj]:
     """Source and target of a well-typed term.
 
     Raises `TypeMismatch` naming the offending subterm path when composition
-    endpoints disagree or the sides of `+` have different types.
+    endpoints disagree or the sides of `+` have different types.  Each
+    node's rule is applied once its children are typed, from an explicit
+    stack: `before` ahead of `after`, other kinds in field order.  Only
+    well-typed subterms are cached, so a failing subterm is checked again at
+    every occurrence and its message does not depend on earlier calls.
     """
-    return _infer(t, None)
+    # (node, path, its arrow children once they are pushed)
+    stack = [(t, None, None)]
+    while stack:
+        node, path, kids = stack.pop()
+        if kids is None:
+            if hasattr(node, "_ty"):
+                continue
+            kids = [getattr(node, f) for f in node._arrows]
+            if kids:
+                stack.append((node, path, kids))
+                todo = [(k, (path, f), None) for k, f in zip(kids, node._arrows)]
+                # the last pushed is typed first
+                stack += todo if type(node) is Compose else reversed(todo)
+                continue
+        tys = [k._ty for k in kids]
+        if type(node) is Compose and tys[1][1] != tys[0][0]:
+            raise TypeMismatch(
+                f"cannot compose at {_path_text(path)}: 'before' ends at "
+                f"{render_object(tys[1][1])} but 'after' starts at "
+                f"{render_object(tys[0][0])}")
+        if type(node) is Plus and tys[0] != tys[1]:
+            left, right = [f"{render_object(a)} -> {render_object(b)}" for a, b in tys]
+            raise TypeMismatch(
+                f"cannot add at {_path_text(path)}: left is {left} but right is {right}")
+        object.__setattr__(node, "_ty", node._rule(*node_objects(node), *tys))
+    return t._ty
 
 
 def _path_text(path: tuple | None) -> str:
-    """Dotted field path of a subterm, or `top`.  `_infer` passes paths down
-    as nested `(parent path, field)` pairs and renders one only for an error,
-    since the text grows with the depth of the subterm."""
+    """Dotted field path of a subterm, or `top`.  `infer_type` keeps paths
+    as nested `(parent path, field)` pairs and renders one only for an
+    error, since the text grows with the depth of the subterm."""
     fields = []
     while path is not None:
         path, field = path
         fields.append(field)
     return ".".join(reversed(fields)) or "top"
-
-
-def _infer(t: Arrow, path: tuple | None) -> tuple[Obj, Obj]:
-    # only well-typed subterms are cached, so a failing subterm is checked
-    # again on every call and its message does not depend on earlier calls
-    got = getattr(t, "_ty", None)
-    if got is not None:
-        return got
-    match t:
-        case Arrow(_rule=rule) if rule is not None:
-            ty = rule(*node_objects(t))
-        case Compose(g, f):
-            fs, ft = _infer(f, (path, "before"))
-            gs, gt = _infer(g, (path, "after"))
-            if ft != gs:
-                raise TypeMismatch(
-                    f"cannot compose at {_path_text(path)}: 'before' ends at "
-                    f"{render_object(ft)} but 'after' starts at {render_object(gs)}"
-                )
-            ty = (fs, gt)
-        case Plus(l, r):
-            ls = _infer(l, (path, "left"))
-            rs = _infer(r, (path, "right"))
-            if ls != rs:
-                raise TypeMismatch(
-                    f"cannot add at {_path_text(path)}: left is "
-                    f"{render_object(ls[0])} -> {render_object(ls[1])} but right is "
-                    f"{render_object(rs[0])} -> {render_object(rs[1])}"
-                )
-            ty = ls
-        case TensorMap(l, r):
-            ls, lt = _infer(l, (path, "left"))
-            rs, rt = _infer(r, (path, "right"))
-            ty = (Tensor(ls, rs), Tensor(lt, rt))
-        case OplusMap(l, r):
-            ls, lt = _infer(l, (path, "left"))
-            rs, rt = _infer(r, (path, "right"))
-            ty = (Oplus(ls, rs), Oplus(lt, rt))
-        case Whisker(a, g):
-            gs, gt = _infer(g, (path, "body"))
-            ty = (Hom(a, gs), Hom(a, gt))
-        case HomMap(f, g):
-            fs, ft = _infer(f, (path, "contra"))
-            gs, gt = _infer(g, (path, "cov"))
-            ty = (Hom(ft, gs), Hom(fs, gt))
-        case Dagger(f):
-            fs, ft = _infer(f, (path, "inner"))
-            ty = (ft, fs)
-        case _:
-            raise TypeMismatch(f"unknown arrow node {t!r}")
-    object.__setattr__(t, "_ty", ty)
-    return ty
 
 
 # ---------------------------------------------------------------------------
@@ -389,42 +381,38 @@ def expand_derived(t: Arrow, mode: Mode = Mode.SMCB) -> Arrow:
     through the dagger.  Fixpoint on primitive-only input, where it returns
     `t` itself, so cached hashes and types carry over.
     """
-    kids = arrow_children(t)
-    if kids:
-        # a plain loop: a generator expression or (on 3.11) a list
-        # comprehension adds a second Python frame per tree level
-        new = []
-        for k in kids:
-            new.append(expand_derived(k, mode))
-        if any(n is not k for n, k in zip(new, kids)):
+    def step(t: Arrow, new: list[Arrow]) -> Arrow:
+        if any(n is not k for n, k in zip(new, arrow_children(t))):
             t = rebuild_arrow(t, tuple(new))
-    match t:
-        case HomMap(f, g):
-            a, a1 = infer_type(f)
-            b, _ = infer_type(g)
-            hom_ab = Hom(a1, b)
-            contra = Compose(
-                Compose(Whisker(a, Eps(a1, b)),
-                        Whisker(a, TensorMap(f, Id(hom_ab)))),
-                Eta(a, hom_ab),
-            )
-            if g == Id(b):
-                return contra
-            if f == Id(a):
-                return Whisker(a, g)
-            return Compose(Whisker(a, g), contra)
-        case AlphaInv(a, b, c) if mode is Mode.DCCB:
-            return Dagger(Alpha(a, b, c))
-        case LambdaInv(a) if mode is Mode.DCCB:
-            return Dagger(Lambda(a))
-        case EtaC(a) if mode is Mode.DCCB:
-            return Compose(Sigma(a, Dual(a)), Dagger(EpsC(a)))
-        case Inj1(a, b) if mode is Mode.DCCB:
-            return Dagger(Proj1(a, b))
-        case Inj2(a, b) if mode is Mode.DCCB:
-            return Dagger(Proj2(a, b))
-        case _:
-            return t
+        match t:
+            case HomMap(f, g):
+                a, a1 = infer_type(f)
+                b, _ = infer_type(g)
+                hom_ab = Hom(a1, b)
+                contra = Compose(
+                    Compose(Whisker(a, Eps(a1, b)),
+                            Whisker(a, TensorMap(f, Id(hom_ab)))),
+                    Eta(a, hom_ab),
+                )
+                if g == Id(b):
+                    return contra
+                if f == Id(a):
+                    return Whisker(a, g)
+                return Compose(Whisker(a, g), contra)
+            case AlphaInv(a, b, c) if mode is Mode.DCCB:
+                return Dagger(Alpha(a, b, c))
+            case LambdaInv(a) if mode is Mode.DCCB:
+                return Dagger(Lambda(a))
+            case EtaC(a) if mode is Mode.DCCB:
+                return Compose(Sigma(a, Dual(a)), Dagger(EpsC(a)))
+            case Inj1(a, b) if mode is Mode.DCCB:
+                return Dagger(Proj1(a, b))
+            case Inj2(a, b) if mode is Mode.DCCB:
+                return Dagger(Proj2(a, b))
+            case _:
+                return t
+
+    return _fold(t, step)
 
 
 def compose_chain(steps: list[Arrow]) -> Arrow:
@@ -537,9 +525,9 @@ class _Parser:
     """Recursive descent over the tokens of one text.
 
     Every node is built by `make` through an intern table keyed by the
-    tuple that `_Node.__hash__` hashes, `(kind name, *fields)`: equal
-    subterms are one object, hashed once, from its fields' hashes.  The
-    table lives as long as the parser, which serves one parse.
+    tuple that a node's constructor hashes, `(kind name, *fields)`: equal
+    subterms are one object.  The table lives as long as the parser, which
+    serves one parse.
     """
 
     def __init__(self, toks: list[tuple[str, str, int]], mode: Mode, defs: Defs):
@@ -560,7 +548,6 @@ class _Parser:
         node = self.nodes.get(key)
         if node is None:
             node = self.nodes[key] = cls(*fields)
-            object.__setattr__(node, "_h", hash(key))
             if cls in self.forbidden:
                 self.walk = True
         return node
@@ -707,46 +694,56 @@ def parse_arrow(text: str, mode: Mode = Mode.SMCB, defs: Defs | None = None) -> 
 # Printer.  parse(render(t)) is structurally equal to t.
 
 
-#: infix kind -> (text, precedence, right associative), printed unflipped
-_INFIX = {kind: (text, prec, right_assoc)
+#: infix kind -> (text with its spaces, precedence, right associative),
+#: printed unflipped
+_INFIX = {kind: (f" {text} ", prec, right_assoc)
           for table in (_OBJ_OPS, _ARROW_OPS)
           for text, (kind, prec, right_assoc, flipped) in table.items()
           if not flipped}
 
 
 def render_text(t: Obj | Arrow) -> str:
-    """Concrete syntax of an object or arrow; inverse of the parsers."""
-    return _render(t, 1)
+    """Concrete syntax of an object or arrow; inverse of the parsers.  Its
+    pieces go on a stack and are joined once, so no subterm's text is built
+    apart.  A subterm's piece is `(subterm, precedence)`: it is parenthesized
+    when it is an infix term whose operator binds more loosely."""
+    out, stack = [], [(t, 1)]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        t, prec = piece
+        infix = _INFIX.get(type(t))
+        if infix is not None:
+            text, p, right_assoc = infix
+            left, right = [getattr(t, f) for f in t.__match_args__]
+            s = [(left, p + 1 if right_assoc else p), text,
+                 (right, p if right_assoc else p + 1)]
+            stack += reversed(["(", *s, ")"] if p < prec else s)
+            continue
+        match t:
+            case Gen(name):
+                s = [name]
+            case Unit():
+                s = ["I"]
+            case Zero():
+                s = ["0"]
+            case Dual(x):
+                s = [(x, 4), "*"]  # tighter than every infix operator
+            case Arrow(_kw=str() as kw):
+                s = [f"{kw}[", *[y for a in node_objects(t) for y in ((a, 1), ",")]]
+                s[-1] = "]"
+            case Whisker(a, g):
+                s = ["[", (a, 2), " -o ", (g, 1), "]"]
+            case HomMap(f, g):
+                s = ["hom(", (f, 1), ", ", (g, 1), ")"]
+            case Dagger(f):
+                s = ["dg(", (f, 1), ")"]
+            case _:
+                raise ValueError(f"unknown node {t!r}")
+        stack += reversed(s)
+    return "".join(out)
 
 
 render_object = render_arrow = render_text
-
-
-def _render(t: Obj | Arrow, prec: int) -> str:
-    """Text of `t`, parenthesized when it is an infix term whose operator
-    binds more loosely than `prec`."""
-    infix = _INFIX.get(type(t))
-    if infix is not None:
-        text, p, right_assoc = infix
-        left, right = [getattr(t, f) for f in t.__match_args__]
-        s = (f"{_render(left, p + 1 if right_assoc else p)} {text} "
-             f"{_render(right, p if right_assoc else p + 1)}")
-        return f"({s})" if p < prec else s
-    match t:
-        case Gen(name):
-            return name
-        case Unit():
-            return "I"
-        case Zero():
-            return "0"
-        case Dual(x):
-            return _render(x, 4) + "*"  # tighter than every infix operator
-        case Arrow(_kw=str() as kw):
-            return f"{kw}[{','.join(map(render_object, node_objects(t)))}]"
-        case Whisker(a, g):
-            return f"[{_render(a, 2)} -o {_render(g, 1)}]"
-        case HomMap(f, g):
-            return f"hom({_render(f, 1)}, {_render(g, 1)})"
-        case Dagger(f):
-            return f"dg({_render(f, 1)})"
-    raise ValueError(f"unknown node {t!r}")

@@ -300,7 +300,7 @@ def test_too_deep_term_exits_3_without_traceback(tmp_path):
 
 
 @pytest.mark.parametrize("command,inline", [
-    ("interpret", False), ("normalize", False), ("decompose", False),
+    ("interpret", False), ("decompose", False),
     ("interpret", True), ("render", True), ("decompose", True),
 ])
 def test_too_deep_input_exits_3_in_every_command(tmp_path, command, inline):
@@ -318,6 +318,19 @@ def test_too_deep_input_exits_3_in_every_command(tmp_path, command, inline):
                        capture_output=True, text=True)
     assert r.returncode == 3 and r.stdout == ""
     assert r.stderr == f"error: {where}term nests too deeply\n"
+
+
+def test_deep_chain_normalizes_from_a_file(tmp_path):
+    import subprocess
+    import sys
+
+    # the normalizer walks the term on an explicit stack
+    chain = " . ".join(["id[p]"] * 15000)
+    arg = write(tmp_path, "deep.cob", f"normalize {chain}\n")
+    r = subprocess.run([sys.executable, "-m", "cobeq.cli", "normalize", arg],
+                       capture_output=True, text=True)
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout.startswith("termmatrix 1x1\n")
 
 
 @pytest.mark.parametrize("target,argv,body", [

@@ -1,10 +1,12 @@
 import collections
 import copy
 import dataclasses
+import gc
 import hashlib
 import pickle
 import random
 import sys
+import time
 import zlib
 
 import pytest
@@ -14,8 +16,8 @@ from cobeq import (
     Hom, HomMap, Id, Inj1, Inj2, Lambda, LambdaInv, Mode, ModeViolation, Obj,
     Oplus, OplusMap, ParseError, Plus, Proj1, Proj2, Sigma, Tensor, TensorMap,
     TypeMismatch, Unit, Whisker, Zero, ZeroMap, check_mode, dual_map,
-    expand_derived, infer_type, parse_arrow, parse_object, render_arrow,
-    render_object, render_text,
+    expand_derived, infer_type, normalize_syntactic, parse_arrow, parse_object,
+    render_arrow, render_object, render_text,
 )
 from cobeq import syntax
 from cobeq.cli import main
@@ -209,16 +211,47 @@ def test_expand_dccb_sugar():
 
 
 def test_expand_long_constructed_chain_under_default_limit():
-    # one Python frame per tree level: 700 links fit the default limit of 1000
-    t = Id(P)
-    for _ in range(700):
-        t = Compose(Id(P), t)
-    limit = sys.getrecursionlimit()
+    # type inference, printing, expansion and normalization walk explicit
+    # stacks: 100,000-link chains, parsed and built by constructors, pass
+    # under the default recursion limit in time linear in their length
+    def run(n):
+        """CPU seconds of each step on n-link chains, checking each result."""
+        text = " . ".join(["id[p]"] * (n + 1))
+        built = Id(P)
+        for _ in range(n):
+            built = Compose(built, Id(P))  # `.` is left associative
+        seconds = {}
+
+        def timed(step, *args):
+            t0 = time.process_time()
+            out = step(*args)
+            seconds[step.__name__] = time.process_time() - t0
+            return out
+
+        parsed = timed(parse_arrow, text)
+        assert timed(infer_type, built) == (P, P)
+        assert timed(render_arrow, parsed) == text == render_arrow(built)
+        assert timed(expand_derived, built) is built and expand_derived(parsed) is parsed
+        assert hash(parsed) == hash(built)
+        m = timed(normalize_syntactic, parsed)
+        assert m.shape == (1, 1) and [render_arrow(s) for s in m.entries[0][0]] == [text]
+        return seconds
+
+    limit, thresholds = sys.getrecursionlimit(), gc.get_threshold()
     sys.setrecursionlimit(1000)
+    # without full collections, as in a CLI call, so the walks are timed
+    gc.set_threshold(*thresholds[:2], 1 << 30)
     try:
-        assert expand_derived(t) is t
+        times = [run(50_000), run(100_000)]
+        if any(times[1][s] > 3 * times[0][s] for s in times[0]):
+            # the host may be busy: take the best of two runs of each size
+            again = [run(50_000), run(100_000)]
+            times = [{s: min(a[s], b[s]) for s in a} for a, b in zip(times, again)]
     finally:
+        gc.set_threshold(*thresholds)
         sys.setrecursionlimit(limit)
+    half, full = times
+    assert all(full[s] <= 3 * half[s] for s in half), times
 
 
 def test_parse_nested_parentheses_two_frames_per_level():
