@@ -432,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 #: the recursion limit during a call, since the parser's nested groups,
-#: evaluation, the object folds and node equality recurse over term trees.
+#: evaluation and the object folds recurse over term trees.
 #: Before 3.11 each Python call also takes C stack: under an 8 MiB stack (Python 3.10.13), parsing nested
 #: parentheses crashes the interpreter at a limit of 17500, while
 #: `decompose` of a 15,000-factor product needs a little over 15000.

@@ -5,17 +5,19 @@ Everything here is immutable and pure.  Each node kind is declared in one
 `_kind` row: its object fields, its arrow fields, an arrow kind's typing
 rule and a generator's keyword.  Three dialects are supported (see `Mode`);
 the trees themselves are mode-agnostic, legality is enforced by the parsers
-and by `check_mode` / `check_object_mode`.  A node's constructor sets its
-hash.  Each `parse_arrow` or `parse_object` call builds every distinct
-subterm once, through an intern table that lives as long as that parse:
-equal subterms of one result are one object.  Type inference, expansion and
-printing walk a term on an explicit stack; the parser's nested parentheses
-and `==` on equal but distinct terms take Python frames per level.
+and by `check_mode` / `check_object_mode`.  Nodes are hash-consed: a
+node's constructor returns the live node of its kind with the same fields
+when there is one, from one weak table shared by the process, so equal
+terms are one object and compare and hash by identity.  Type inference,
+expansion and printing walk a term on an explicit stack; only the parser's
+nested parentheses take Python frames per level.
 """
 
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import FrozenInstanceError
 from enum import Enum
 from typing import Callable, Iterator, Mapping
@@ -56,27 +58,21 @@ class ModeViolation(LangError):
 
 
 class _Node:
-    """Base of object and arrow nodes: slotted and immutable, equal when
-    they are of one kind with equal fields, with a structural hash that the
-    constructor stores in a slot: `hash((kind name, *fields))`, from the
-    fields' stored hashes.
-
-    The class name is part of the hash, so nodes of different kinds with
-    equal fields (`Tensor(p,q)` and `Oplus(p,q)`) do not collide.
+    """Base of object and arrow nodes: slotted, immutable and interned.  A
+    node's constructor returns the live node of its kind with the same
+    fields when there is one, so two equal terms are one object, however
+    they were built, and `==` and `hash` are the identity ones of `object`.
     """
 
-    __slots__ = ("_h",)
-
-    def __hash__(self) -> int:
-        return self._h
+    __slots__ = ("__weakref__",)
 
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__name__}({args})"
 
     def __reduce__(self):
-        # pickle and copy rebuild a node through its constructor, since the
-        # frozen `__setattr__` refuses the default restoring of slots
+        # pickle and copy rebuild a node through its constructor, which
+        # returns the live node when there is one
         return type(self), tuple([getattr(self, f) for f in self.__match_args__])
 
     def __setattr__(self, name, value):
@@ -89,18 +85,30 @@ class _Node:
 #: surface keyword of each generator -> {number of object arguments: class}
 _KEYWORDS: dict[str, dict[int, type]] = {}
 
-#: the constructor and equality of one kind, written out per kind as
-#: `dataclasses` writes them: methods shared by all kinds that loop over the
-#: fields construct and compare several times slower.  `_set_<field>` stores
-#: a field through its slot's descriptor, past the frozen `__setattr__`, and
-#: `_set_hash` the node's hash.
+#: every live node, keyed by its kind's name and its fields: a generator's
+#: identifier, and the `id()` of each term field, which names one node as
+#: long as the entry lives, since its node keeps its fields alive.  A key of
+#: a string and ints is one object fewer for the garbage collector to scan.
+#: An entry goes when its node does, so the table keeps no node alive.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
+
+#: the constructor of one kind, written out per kind as `dataclasses` writes
+#: an `__init__`: one shared by all kinds that loops over the fields runs
+#: several times slower.  A miss looks again under the lock, so threads that
+#: build one term at once get one node.  `_set_<field>` stores a field
+#: through its slot's descriptor, past the frozen `__setattr__`.
 _METHODS = """
-def __init__(self, {args}):
-    {sets}_set_hash(self, hash(({name!r},{key})))
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({mine}) == ({theirs})
-    return NotImplemented
+def __new__(cls, {args}):
+    key = ({name!r}, {key})
+    node = _get(key)
+    if node is None:
+        with _lock:
+            node = _get(key)
+            if node is None:
+                node = _new(cls)
+                {sets}_nodes[key] = node
+    return node
 """
 
 
@@ -122,21 +130,18 @@ def _kind(base: type, name: str, objs: str = "", arrows: str = "", *,
     """
     objs_, arrows_ = tuple(objs.split()), tuple(arrows.split())
     fields = ((atom,) if atom else ()) + objs_ + arrows_
-    ns: dict = {"_set_hash": _Node._h.__set__}
+    ns: dict = {"_get": _NODES.get, "_lock": _NODES_LOCK, "_new": object.__new__,
+                "_nodes": _NODES}
     exec(_METHODS.format(
-        args=", ".join(fields), name=name, key="".join(f" {f}," for f in fields),
-        sets="".join(f"_set_{f}(self, {f})\n    " for f in fields),
-        mine="".join(f"self.{f}, " for f in fields),
-        theirs="".join(f"other.{f}, " for f in fields)), ns)
+        args=", ".join(fields), name=name,
+        key="".join(f"{f}, " if f == atom else f"id({f}), " for f in fields),
+        sets="".join(f"_set_{f}(node, {f})\n                " for f in fields)), ns)
     cls = type(name, (base,), {
-        "__slots__": fields, "__match_args__": fields,
-        "__init__": ns["__init__"], "__eq__": ns["__eq__"],
-        # a class that defines `__eq__` otherwise gets `__hash__ = None`
-        "__hash__": _Node.__hash__,
+        "__slots__": fields, "__match_args__": fields, "__new__": ns["__new__"],
         "_objs": objs_, "_arrows": arrows_, "_kw": kw,
         "_rule": None if ty is None else staticmethod(ty),
     })
-    # the methods read their setters from `ns` when called; the slots exist now
+    # the constructor reads its setters from `ns` when called; the slots exist now
     ns.update({f"_set_{f}": getattr(cls, f).__set__ for f in fields})
     if kw is not None:
         _KEYWORDS.setdefault(kw, {})[len(objs_)] = cls
@@ -186,9 +191,10 @@ def subobjects(a: Obj) -> Iterator[Obj]:
 
 class Arrow(_Node):
     """An arrow term.  Use `infer_type` for its source and target, which
-    is cached in the `_ty` slot once the term is known to be well typed."""
+    are cached in the `_src` and `_tgt` slots once the term is known to be
+    well typed: two slots keep no tuple alive per typed node."""
 
-    __slots__ = ("_ty",)
+    __slots__ = ("_src", "_tgt")
 
     def __str__(self) -> str:
         return render_arrow(self)
@@ -241,10 +247,8 @@ def arrow_children(t: Arrow) -> tuple[Arrow, ...]:
 
 
 def rebuild_arrow(t: Arrow, kids: tuple[Arrow, ...]) -> Arrow:
-    """Copy of `t` with its direct arrow children replaced by `kids`."""
-    if not t._arrows:
-        assert not kids
-        return t
+    """`t` with its direct arrow children replaced by `kids`: `t` itself
+    when they are its children."""
     return type(t)(*node_objects(t), *kids)
 
 
@@ -265,22 +269,21 @@ def subarrows(t: Arrow) -> Iterator[Arrow]:
 def _fold(t: Arrow, step: Callable[[Arrow, list], object]):
     """The value at `t` of `step(x, values at x's arrow children)`: each
     distinct subterm is stepped once, children first, from an explicit
-    stack, with a memo keyed by `id(x)`, since a node key compares by the
-    recursive `__eq__`."""
+    stack."""
     memo, stack = {}, [t]
     while stack:
         x = stack[-1]
-        if id(x) in memo:
+        if x in memo:
             stack.pop()
             continue
         kids = arrow_children(x)
-        todo = [k for k in kids if id(k) not in memo]
+        todo = [k for k in kids if k not in memo]
         if todo:
             stack += reversed(todo)
             continue
         stack.pop()
-        memo[id(x)] = step(x, [memo[id(k)] for k in kids])
-    return memo[id(t)]
+        memo[x] = step(x, [memo[k] for k in kids])
+    return memo[t]
 
 
 #: dialect -> {node kind it rejects: the `ModeViolation` message}.  In dccb,
@@ -335,7 +338,7 @@ def infer_type(t: Arrow) -> tuple[Obj, Obj]:
     while stack:
         node, path, kids = stack.pop()
         if kids is None:
-            if hasattr(node, "_ty"):
+            if hasattr(node, "_tgt"):
                 continue
             kids = [getattr(node, f) for f in node._arrows]
             if kids:
@@ -344,7 +347,7 @@ def infer_type(t: Arrow) -> tuple[Obj, Obj]:
                 # the last pushed is typed first
                 stack += todo if type(node) is Compose else reversed(todo)
                 continue
-        tys = [k._ty for k in kids]
+        tys = [(k._src, k._tgt) for k in kids]
         if type(node) is Compose and tys[1][1] != tys[0][0]:
             raise TypeMismatch(
                 f"cannot compose at {_path_text(path)}: 'before' ends at "
@@ -354,8 +357,11 @@ def infer_type(t: Arrow) -> tuple[Obj, Obj]:
             left, right = [f"{render_object(a)} -> {render_object(b)}" for a, b in tys]
             raise TypeMismatch(
                 f"cannot add at {_path_text(path)}: left is {left} but right is {right}")
-        object.__setattr__(node, "_ty", node._rule(*node_objects(node), *tys))
-    return t._ty
+        src, tgt = node._rule(*node_objects(node), *tys)
+        # `_tgt` last: a node that has it is typed
+        object.__setattr__(node, "_src", src)
+        object.__setattr__(node, "_tgt", tgt)
+    return t._src, t._tgt
 
 
 def _path_text(path: tuple | None) -> str:
@@ -379,11 +385,10 @@ def expand_derived(t: Arrow, mode: Mode = Mode.SMCB) -> Arrow:
     `hom(f,g)` becomes the whisker/cap composite; in dccb mode the sugar
     arrows `alpha'`, `lambda'`, unary `eta` and `inj1`/`inj2` are expressed
     through the dagger.  Fixpoint on primitive-only input, where it returns
-    `t` itself, so cached hashes and types carry over.
+    `t` itself.
     """
     def step(t: Arrow, new: list[Arrow]) -> Arrow:
-        if any(n is not k for n, k in zip(new, arrow_children(t))):
-            t = rebuild_arrow(t, tuple(new))
+        t = rebuild_arrow(t, tuple(new))
         match t:
             case HomMap(f, g):
                 a, a1 = infer_type(f)
@@ -522,13 +527,8 @@ _ARROW_OPS: dict[str, tuple[type, int, bool, bool]] = {
 
 
 class _Parser:
-    """Recursive descent over the tokens of one text.
-
-    Every node is built by `make` through an intern table keyed by the
-    tuple that a node's constructor hashes, `(kind name, *fields)`: equal
-    subterms are one object.  The table lives as long as the parser, which
-    serves one parse.
-    """
+    """Recursive descent over the tokens of one text.  Every node is built
+    by `make`, which notes whether the mode forbids its kind."""
 
     def __init__(self, toks: list[tuple[str, str, int]], mode: Mode, defs: Defs):
         self.toks = toks
@@ -537,20 +537,15 @@ class _Parser:
         self.pos = 0
         self.defs = defs
         self.forbidden = _FORBIDDEN[mode]
-        self.nodes: dict[tuple, _Node] = {}
         #: whether the result needs the mode-check walk: a kind the mode
         #: forbids was built, or a definition, perhaps from another mode,
         #: was substituted
         self.walk = False
 
     def make(self, cls: type, *fields) -> _Node:
-        key = (cls.__name__, *fields)
-        node = self.nodes.get(key)
-        if node is None:
-            node = self.nodes[key] = cls(*fields)
-            if cls in self.forbidden:
-                self.walk = True
-        return node
+        if cls in self.forbidden:
+            self.walk = True
+        return cls(*fields)
 
     def advance(self) -> tuple[str, str, int]:
         tok = self.toks[self.pos]
@@ -691,7 +686,7 @@ def parse_arrow(text: str, mode: Mode = Mode.SMCB, defs: Defs | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Printer.  parse(render(t)) is structurally equal to t.
+# Printer.  parse(render(t)) is t.
 
 
 #: infix kind -> (text with its spaces, precedence, right associative),

@@ -357,9 +357,23 @@ def test_out_of_memory_exits_3_in_every_command(tmp_path, capsys, monkeypatch,
     assert err == f"error: {where}out of memory\n"  # no traceback
 
 
+def test_same_long_chain_on_both_sides_is_equal(tmp_path):
+    """The two sides, written apart, parse to one node, so `decide_equal`
+    finds them equal without walking either."""
+    import subprocess
+    import sys
+
+    chain = " . ".join(["id[p]"] * 20000)
+    path = write(tmp_path, "same.cob", f"check {chain} = {chain}\n")
+    r = subprocess.run([sys.executable, "-m", "cobeq.cli", "check", path],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.endswith(": equal\n")
+
+
 def test_decompose_of_a_long_tensor_product():
-    """A 15 000-factor product is parsed with every node hashed as it is
-    built, so hashing it in `decompose`'s cache needs no deep recursion."""
+    """A 15 000-factor product hashes by identity in `decompose`'s cache, so
+    hashing it needs no recursion."""
     import subprocess
     import sys
 

@@ -6,6 +6,7 @@ import hashlib
 import pickle
 import random
 import sys
+import threading
 import time
 import zlib
 
@@ -319,8 +320,8 @@ def _hashes(t):
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_parse_render_round_trip(mode):
-    """The parser sets each node's hash as it builds it; the hashes agree
-    with those of the same terms built by constructors."""
+    """The parser and the constructors build the same nodes, so every
+    subterm's hash agrees."""
     rng = random.Random(zlib.crc32(mode.value.encode()))
     for _ in range(120):
         t = random_arrow(rng, mode, depth=5, obj_depth=3)
@@ -333,17 +334,18 @@ def test_parse_render_round_trip(mode):
 
 
 # ---------------------------------------------------------------------------
-# node contract: structural equality, cached hash and type
+# node contract: interned nodes, identity hash and cached type
 
 
 def test_separately_built_terms_are_equal_with_equal_hashes():
     text = "sigma[p,q] . (id[p] (x) id[q]) + zero[p (x) q, q (x) p]"
     t1, t2 = parse_arrow(text), parse_arrow(text)
-    assert t1 is not t2
+    assert t1 is t2
     assert t1 == t2 and hash(t1) == hash(t2)
     built = Plus(Compose(Sigma(P, Q), TensorMap(Id(P), Id(Q))),
                  ZeroMap(Tensor(P, Q), Tensor(Q, P)))
     assert built == t1 and hash(built) == hash(t1)
+    assert built is t1
     assert {t1: 1}[built] == 1
 
 
@@ -353,6 +355,49 @@ def test_equal_subterms_of_one_parse_are_one_object():
     assert t.left.after.obj is infer_type(t)[0]
     a = parse_object("(p (x) p*) (+) (p (x) p*)", Mode.CCB)
     assert a.left is a.right and a.left.right.inner is a.left.left
+    # and across parses, constructors, typing rules and expansion
+    assert parse_arrow("id[p (x) q]") is t.left.after is Id(Tensor(P, Q))
+    assert parse_object("p (x) p*", Mode.CCB) is a.left is Tensor(P, Dual(P))
+    assert infer_type(Sigma(P, Q))[1] is parse_object("q (x) p")
+    assert expand_derived(parse_arrow("alpha'[p,q,r]", Mode.DCCB), Mode.DCCB) is (
+        parse_arrow("dg(alpha[p,q,r])", Mode.DCCB))
+
+
+def test_equal_terms_built_by_threads_at_once_are_one_object():
+    """Threads that build one fresh term at once get one node: a miss in the
+    node table looks again under its lock before it stores a node."""
+    barrier = threading.Barrier(4)
+    built = [None] * 4
+
+    def build(k):
+        barrier.wait(timeout=60)
+        built[k] = [Tensor(Gen(f"g{i}"), Gen(f"h{i}")) for i in range(20000)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    first, *others = built
+    assert len(first) == 20000
+    for other in others:
+        assert all(a is b for a, b in zip(first, other, strict=True))
+
+
+def test_node_table_keeps_no_node_alive():
+    gc.collect()
+    start = len(syntax._NODES)
+    product = parse_object(" (x) ".join(f"kept{i}" for i in range(5000)))
+    assert len(syntax._NODES) == start + 9999  # 5000 generators, 4999 products
+    del product
+    gc.collect()
+    assert len(syntax._NODES) == start
 
 
 def test_definitions_from_another_mode_are_rejected():
@@ -528,7 +573,7 @@ def test_every_kind_keeps_the_node_contract():
     for t in ONE_OF_EACH_ARROW + ONE_OF_EACH_OBJECT:
         values = [getattr(t, f) for f in t.__match_args__]
         rebuilt = type(t)(*values)
-        assert rebuilt == t and hash(rebuilt) == hash(t) and rebuilt is not t
+        assert rebuilt == t and hash(rebuilt) == hash(t) and rebuilt is t
         parsed = _parse_any(render_text(t), Arrow if isinstance(t, Arrow) else Obj)
         assert type(parsed) is type(t)
         assert parsed == t and hash(parsed) == hash(t)
@@ -549,6 +594,7 @@ def test_nodes_pickle_and_copy():
     t = parse_arrow("sigma[p,q] . (id[p] (x) id[q]) + zero[p (x) q, q (x) p]")
     for again in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
         assert again == t and hash(again) == hash(t)
+        assert again is t
 
 
 def test_every_generator_typing_rule():
