@@ -86,10 +86,12 @@ class _Node:
 _KEYWORDS: dict[str, dict[int, type]] = {}
 
 #: every live node, keyed by its kind's name and its fields: a generator's
-#: identifier, and the `id()` of each term field, which names one node as
-#: long as the entry lives, since its node keeps its fields alive.  A key of
-#: a string and ints is one object fewer for the garbage collector to scan.
-#: An entry goes when its node does, so the table keeps no node alive.
+#: identifier, and the `id()` of each term field, which names one node while
+#: the entry lives, since its node keeps its fields alive.  The collector
+#: stops tracking a tuple of a string and ints at its first collection, and
+#: keeps scanning one that holds nodes: with such a key the slowest check of
+#: the `check_refute` benchmark took 5% to 10% longer.  An entry goes when
+#: its node does, so the table keeps no node alive.
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _NODES_LOCK = threading.Lock()
 
@@ -191,10 +193,9 @@ def subobjects(a: Obj) -> Iterator[Obj]:
 
 class Arrow(_Node):
     """An arrow term.  Use `infer_type` for its source and target, which
-    are cached in the `_src` and `_tgt` slots once the term is known to be
-    well typed: two slots keep no tuple alive per typed node."""
+    is cached in the `_ty` slot once the term is known to be well typed."""
 
-    __slots__ = ("_src", "_tgt")
+    __slots__ = ("_ty",)
 
     def __str__(self) -> str:
         return render_arrow(self)
@@ -338,7 +339,7 @@ def infer_type(t: Arrow) -> tuple[Obj, Obj]:
     while stack:
         node, path, kids = stack.pop()
         if kids is None:
-            if hasattr(node, "_tgt"):
+            if hasattr(node, "_ty"):
                 continue
             kids = [getattr(node, f) for f in node._arrows]
             if kids:
@@ -347,7 +348,7 @@ def infer_type(t: Arrow) -> tuple[Obj, Obj]:
                 # the last pushed is typed first
                 stack += todo if type(node) is Compose else reversed(todo)
                 continue
-        tys = [(k._src, k._tgt) for k in kids]
+        tys = [k._ty for k in kids]
         if type(node) is Compose and tys[1][1] != tys[0][0]:
             raise TypeMismatch(
                 f"cannot compose at {_path_text(path)}: 'before' ends at "
@@ -357,11 +358,8 @@ def infer_type(t: Arrow) -> tuple[Obj, Obj]:
             left, right = [f"{render_object(a)} -> {render_object(b)}" for a, b in tys]
             raise TypeMismatch(
                 f"cannot add at {_path_text(path)}: left is {left} but right is {right}")
-        src, tgt = node._rule(*node_objects(node), *tys)
-        # `_tgt` last: a node that has it is typed
-        object.__setattr__(node, "_src", src)
-        object.__setattr__(node, "_tgt", tgt)
-    return t._src, t._tgt
+        object.__setattr__(node, "_ty", node._rule(*node_objects(node), *tys))
+    return t._ty
 
 
 def _path_text(path: tuple | None) -> str:
